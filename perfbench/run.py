@@ -11,14 +11,18 @@ next task starts when the previous one has returned.
 sets up the same way and then runs tasks for S seconds of timed wall time,
 and for at least 100 tasks so that the p90 has 10 samples beyond it.
 ``setup_s`` is the median time from starting a worker to its first timed
-task.  ``--trace 1`` runs a fixed number of tasks, each once untraced and
-once with spans around the library's layer boundaries, and prints the
+task.  Every time is scaled to a reference host speed, measured by a
+calibration loop just after set-up and between timed tasks (see
+worker.py).  ``--trace 1`` runs a fixed number of tasks, each once untraced
+and once with spans around the library's layer boundaries, and prints the
 per-layer figures per task; it writes the spans and the oracle verdicts to
 ``perfbench/out/``.
 
 The last line of standard output is one JSON object with the keys
-``correct``, ``attempted``, ``failed`` and ``metrics``.  The worker writes
-the thread count and package versions to standard error.
+``correct``, ``attempted``, ``failed`` and ``metrics``; ``failed`` counts
+the tasks in which an operation failed its oracle (see workloads.py).  The
+worker writes phi's accuracy against its tol, the thread count and the
+package versions to standard error.
 """
 
 import argparse
@@ -58,7 +62,7 @@ def start_worker(args, mode):
     return proc, ready
 
 
-def finish_worker(proc, result=True):
+def finish_worker(proc):
     try:
         out, _ = proc.communicate(timeout=WORKER_TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -67,8 +71,6 @@ def finish_worker(proc, result=True):
         fail("worker timed out")
     if proc.returncode != 0:
         fail(f"worker exited with code {proc.returncode}")
-    if not result:
-        return None
     lines = out.strip().splitlines()
     if not lines:
         fail("worker printed no result")
@@ -92,14 +94,13 @@ def main():
         res = finish_worker(proc)
         metrics = {k: {"value": v, "unit": unit_of(k)} for k, v in res["metrics"].items()}
     else:
-        setups = []
-        for _ in range(SETUP_SAMPLES - 1):
-            proc, ready = start_worker(args, "setup")
-            finish_worker(proc, result=False)
-            setups.append(ready)
-        proc, ready = start_worker(args, "timed")
-        setups.append(ready)
-        res = finish_worker(proc)
+        setups, unscaled = [], []
+        for mode in ["setup"] * (SETUP_SAMPLES - 1) + ["timed"]:
+            proc, ready = start_worker(args, mode)
+            res = finish_worker(proc)
+            setups.append(ready / res["setup_slowdown"])
+            unscaled.append(ready)
+        print(json.dumps({"setup_unscaled_s": unscaled}), file=sys.stderr)
         metrics = {
             "task_p50_ms": {"value": res["task_p50_ms"], "unit": "ms"},
             "task_p90_ms": {"value": res["task_p90_ms"], "unit": "ms"},
@@ -116,7 +117,7 @@ def unit_of(name):
         return "ms/task"
     if name.endswith("_pct"):
         return "%"
-    if name.endswith((".share", "hit_ratio")):
+    if name.endswith(("_share", ".share", "hit_ratio", "_rel_err")):
         return "ratio"
     return "count/task"
 

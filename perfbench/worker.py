@@ -2,8 +2,11 @@
 
 Started by run.py, never by hand.  It prints ``ready`` on its own line just
 before the first timed task (so the parent can time set-up from process
-start) and ends with one JSON line holding the raw results, followed on
-standard error by the thread count and package versions it ran with.
+start) and ends with one JSON line holding its results, with times scaled
+to the reference host speed (see ``calibrate``) and the host speed just
+after set-up.  On standard error it prints the unscaled figures and phi's
+accuracy against its tol (timed runs), then the thread count and package
+versions it ran with.
 """
 
 import os
@@ -16,6 +19,7 @@ for _var in THREAD_VARS:  # before numpy loads: a second BLAS thread only compet
 
 import argparse  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import platform  # noqa: E402
 import resource  # noqa: E402
 import statistics  # noqa: E402
@@ -27,6 +31,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
 from fourierjacobi.errors import FourierJacobiError  # noqa: E402
 
 import workloads  # noqa: E402
@@ -37,7 +42,7 @@ TRACE_DIR = Path(__file__).resolve().parent / "out"
 
 
 def attempt(wl, i, prm, tracer=None):
-    """Run task i, then its oracles; returns (seconds, verdict, gross_ok)."""
+    """Run task i, then its oracles; returns (seconds, Check rows)."""
     if tracer is not None:
         tracer.task = i
         tracer.install()
@@ -52,28 +57,79 @@ def attempt(wl, i, prm, tracer=None):
         if tracer is not None:
             tracer.uninstall()
     if raised is not None:
-        return elapsed, [(type(raised).__name__, False)], False
-    rows = wl.check(i, prm, out)
-    verdict = [(row.name, row.ok) for row in rows]
-    gross_ok = all(row.ok for row in rows if row.gross)
-    return elapsed, verdict, gross_ok
+        return elapsed, [workloads.Check(type(raised).__name__, math.inf, 0.0)]
+    return elapsed, wl.check(i, prm, out)
+
+
+def task_failed(rows):
+    return not all(row.ok for row in rows if row.gross)
+
+
+class Accuracy:
+    """phi's relative error against its own tol over the sampled pairs."""
+
+    def __init__(self):
+        self.checked, self.missed, self.worst = 0, 0, 0.0
+
+    def add(self, rows):
+        for row in rows:
+            if not row.gross:
+                self.checked += 1
+                self.missed += not row.ok
+                self.worst = max(self.worst, row.err)
+
+    def share(self):
+        return self.missed / self.checked if self.checked else 0.0
+
+
+# The host this runs on switches between a fast and a slow state (a fixed
+# loop of numpy and interpreter work takes about 2.0 or 3.3 ms, CPU time
+# following wall time); the states last seconds, and the share of time spent
+# slow drifts over minutes, which no run length averages away.  So a fixed
+# calibration loop, which calls no library code, runs between tasks, and
+# each task's time is scaled to a host on which that loop takes
+# CALIBRATION_REF_MS, by the mean of the calibrations just before and just
+# after it.  A change to the library moves the task times, not the
+# calibration.
+CALIBRATION_REF_MS = 3.0
+_CAL_X = np.random.default_rng(0).standard_normal(256)
+
+
+def calibrate():
+    """Seconds taken by a fixed interpreter loop and small numpy calls."""
+    start = time.perf_counter()
+    s = 0.0
+    for k in range(20000):
+        s += k * 0.5
+    for _ in range(100):
+        s += float(np.sum(np.exp(_CAL_X * 1j)).real)
+    return time.perf_counter() - start
 
 
 def timed(wl, seconds):
-    durations, failed, correct = [], 0, True
+    durations, calibrations, failed, accuracy = [], [], 0, Accuracy()
     i = 0
     while sum(durations) < seconds or i < MIN_TASKS:
-        elapsed, verdict, gross_ok = attempt(wl, i, wl.params(i))
+        calibrations.append(calibrate())
+        elapsed, rows = attempt(wl, i, wl.params(i))
         durations.append(elapsed)
-        failed += not all(ok for _, ok in verdict)
-        correct &= gross_ok
+        failed += task_failed(rows)
+        accuracy.add(rows)
         i += 1
-    ms = [d * 1e3 for d in durations]
+    calibrations.append(calibrate())
+    ms = [2.0 * d / (c0 + c1) * CALIBRATION_REF_MS
+          for d, c0, c1 in zip(durations, calibrations, calibrations[1:])]
+    host = statistics.fmean(calibrations) * 1e3 / CALIBRATION_REF_MS
+    print(json.dumps({"phi_tol": {"checked": accuracy.checked, "missed": accuracy.missed,
+                                  "max_rel_err": accuracy.worst},
+                      "unscaled": {"task_p50_ms": 1e3 * statistics.median(durations),
+                                   "tasks_per_s": len(durations) / sum(durations),
+                                   "host_slowdown": host}}), file=sys.stderr)
     return {
-        "attempted": len(ms), "failed": failed, "correct": correct,
+        "attempted": len(ms), "failed": failed, "correct": failed == 0,
         "task_p50_ms": statistics.median(ms),
         "task_p90_ms": statistics.quantiles(ms, n=10)[8],
-        "tasks_per_s": len(ms) / sum(durations),
+        "tasks_per_s": 1e3 * len(ms) / sum(ms),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
 
@@ -84,7 +140,7 @@ def traced(wl, seed):
 
     tracer = tracing.Tracer()
     plain, spanned, verdicts = [], [], []
-    failed, correct = 0, True
+    failed, accuracy = 0, Accuracy()
     lookups = {k: [0, 0] for k in tracer.cache_info()}  # hits, misses inside traced tasks
     for i in range(TRACE_TASKS):
         # alternate the order so neither pass always runs second
@@ -93,22 +149,23 @@ def traced(wl, seed):
                 plain.append(attempt(wl, i, wl.params(i))[0])
                 continue
             before = tracer.cache_info()
-            elapsed, verdict, gross_ok = attempt(wl, i, wl.params(i), tracer)
+            elapsed, rows = attempt(wl, i, wl.params(i), tracer)
             for k, info in tracer.cache_info().items():
                 lookups[k][0] += info.hits - before[k].hits
                 lookups[k][1] += info.misses - before[k].misses
             spanned.append(elapsed)
-            verdicts.append(verdict)
-            failed += not all(ok for _, ok in verdict)
-            correct &= gross_ok
-    metrics = layer_metrics(tracer, lookups, plain, spanned)
+            verdicts.append([(row.name, row.ok) for row in rows])
+            failed += task_failed(rows)
+            accuracy.add(rows)
+    metrics = layer_metrics(tracer, lookups, plain, spanned, accuracy)
     TRACE_DIR.mkdir(exist_ok=True)
     tracer.dump(TRACE_DIR / f"trace-{wl.name}-seed{seed}.jsonl",
                 {"workload": wl.name, "seed": seed, "tasks": TRACE_TASKS, "verdicts": verdicts})
-    return {"attempted": TRACE_TASKS, "failed": failed, "correct": correct, "metrics": metrics}
+    return {"attempted": TRACE_TASKS, "failed": failed, "correct": failed == 0,
+            "metrics": metrics}
 
 
-def layer_metrics(tracer, lookups, plain, spanned):
+def layer_metrics(tracer, lookups, plain, spanned, accuracy):
     calls, points, self_s = tracer.totals()
     n = TRACE_TASKS
 
@@ -175,6 +232,8 @@ def layer_metrics(tracer, lookups, plain, spanned):
         "tauberian.scan.self_ms": ms("tauberian.scan"),
         "tauberian.self_ms": layer_ms("tauberian"),
         "furstenberg.step.self_ms": ms("furstenberg.step"),
+        "oracle.phi.tol_miss_share": accuracy.share(),
+        "oracle.phi.max_rel_err": accuracy.worst,
     }
 
 
@@ -195,12 +254,15 @@ def main():
     wl = workloads.WORKLOADS[args.workload](args.seed)
     wl.warm_up()
     print("ready", flush=True)
+    # the host's speed just after set-up, to scale the set-up time by
+    setup_slowdown = statistics.fmean(calibrate() for _ in range(5)) * 1e3 / CALIBRATION_REF_MS
     if args.mode == "setup":
-        return
-    if args.mode == "timed":
+        result = {}
+    elif args.mode == "timed":
         result = timed(wl, args.seconds)
     else:
         result = traced(wl, args.seed)
+    result["setup_slowdown"] = setup_slowdown
     print(json.dumps(result), flush=True)
     print(json.dumps({"environment": environment()}), file=sys.stderr)
 

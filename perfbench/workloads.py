@@ -12,12 +12,17 @@ T_lambda grid) one task sweeps all four regimes, so every task of a run
 costs about the same and the percentiles do not fall into the gap between
 cheap and dear tasks.
 
-Oracle verdicts come back as ``Check`` rows; a task fails when any row
-misses its tolerance.  ``Check.gross`` marks the rows whose miss means the
-program is broken: the identities at their acceptance-test tolerances and
-phi off by more than ``PHI_GROSS``.  A phi value within ``PHI_GROSS`` but
-beyond the library's own ``tol`` is the known silent-cancellation defect; it
-fails the task without marking the run incorrect.
+Oracle verdicts come back as ``Check`` rows.  ``Check.gross`` marks the
+rows whose miss means an operation failed: an exception, a non-finite
+value, an identity beyond its acceptance-test tolerance, or phi off by more
+than ``PHI_GROSS``; a task fails when one of them misses.  The other rows,
+``phi.tol``, hold phi's relative error against its own ``tol``.  Their
+misses are the known silent-cancellation defect of the 2F1 engine; they
+are counted and reported as accuracy figures (``oracle.phi.*`` in the
+traced run, standard error in every run) over the same seeded sample of
+(lambda, t) pairs, whose ranges are not narrowed to avoid them.  Counted as
+failed tasks they would make the failure count depend on how many tasks
+fit into the timed window.
 """
 
 from __future__ import annotations
@@ -152,7 +157,10 @@ class Workload:
         self.seed = int(seed)
 
     def rng(self, i: int, stream: int = 0):
-        return np.random.default_rng([self.seed, i, stream])
+        # the warm-up draws the same parameters whatever the seed, so that
+        # set-up costs the same in every run
+        seed = 0 if i == WARM_UP_TASK else self.seed
+        return np.random.default_rng([seed, i, stream])
 
     def warm_up(self):
         """One call of every kind the tasks make, on parameters no task uses."""
@@ -276,7 +284,10 @@ class SpectralHighband(Workload):
 
     def _band(self, i, k):
         # a low-discrepancy sequence over [20, 40]: every prefix of the task
-        # sequence covers the band evenly, whatever the seed
+        # sequence covers the band evenly, whatever the seed; the warm-up
+        # sits mid-band, past the mpmath cliff, whatever the seed
+        if i == WARM_UP_TASK:
+            return 30.0
         return 20.0 + 20.0 * ((self.offsets[k] + (i + 1) * GOLDEN) % 1.0)
 
     def params(self, i):
