@@ -17,14 +17,19 @@ import numpy as np
 
 from .errors import DomainError
 from .special import (
+    _mp_2f1,
+    _series_2f1,
     gauss_2f1_array,
     hyp2f1_near_one,
     is_nonpositive_integer,
     log_gamma,
     rgamma,
+    series_route,
+    series_safe,
 )
 
-_PHI2K_SPLIT = 0.7  # t-threshold between the sech^2 series and the 1-z expansion
+_PHI2K_SPLIT = 0.7  # t above which Phi always takes the cosh^-2 t series
+_HC_POLE_GAP = 1.0  # least distance from lambda to iZ for the Harish-Chandra route
 
 
 @dataclass(frozen=True)
@@ -92,16 +97,68 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     """Jacobi function of the first kind; even in t and in lambda.
 
     phi_lam(t) = 2F1((rho - i lam)/2, (rho + i lam)/2; alpha + 1; -sinh^2 t).
-    Accepts scalar or array t.
+    Accepts scalar or array t.  Each point takes one route, chosen from
+    (params, lam, t, tol) before any summing: ``gauss_2f1_array``'s direct,
+    Pfaff or 1/z series wherever ``series_route`` certifies them (roughly
+    |lam sinh t| below ln(tol/eps)); otherwise, for lam at distance >= 1
+    from iZ (the poles of c(+-lam) and Phi_+-lam), the Harish-Chandra
+    expansion c(lam) Phi_lam + c(-lam) Phi_-lam with Phi from its cosh-form
+    series.  Points whose Phi series cancel by more than tol, and points
+    nearer iZ, go to ``gauss_2f1_array``, whose last resort is mpmath.
     """
     lam = complex(lam)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    z = -np.sinh(np.atleast_1d(t)) ** 2
+    t = np.abs(np.atleast_1d(t))
+    z = -np.sinh(t) ** 2
     a = (params.rho - 1j * lam) / 2.0
     b = (params.rho + 1j * lam) / 2.0
-    out = gauss_2f1_array(a, b, params.alpha + 1.0, z, tol)
+    c = params.alpha + 1.0
+    out = np.empty(t.shape, dtype=complex)
+    todo = np.ones(t.shape, dtype=bool)
+    hc = np.flatnonzero(~series_route(a, b, c, z, tol))
+    if hc.size and _pole_gap(lam) >= _HC_POLE_GAP:
+        vals, cancel = _harish_chandra(params, lam, t[hc], tol)
+        ok = cancel <= tol
+        out[hc[ok]] = vals[ok]
+        todo[hc[ok]] = False
+    if np.any(todo):
+        out[todo] = gauss_2f1_array(a, b, c, z[todo], tol)
     return complex(out[0]) if scalar else out
+
+
+def _pole_gap(lam):
+    """Distance from lam to iZ, where c(lam), c(-lam) and Phi_+-lam have poles."""
+    return abs(complex(lam.real, lam.imag - round(lam.imag)))
+
+
+def _harish_chandra(params: JacobiParams, lam, t, tol):
+    """c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) and the worse Phi cancellation."""
+    up, cancel_up = _cosh_form(params, lam, t, tol)
+    down, cancel_down = _cosh_form(params, -lam, t, tol)
+    vals = c_function(params, lam) * up + c_function(params, -lam) * down
+    return vals, np.maximum(cancel_up, cancel_down)
+
+
+def _second_kind_args(params: JacobiParams, lam):
+    a = (params.rho - 1j * lam) / 2.0
+    b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
+    return a, b, 1.0 - 1j * lam
+
+
+def _cosh_form(params: JacobiParams, lam, t, tol):
+    """Phi_lam(t) from its series in cosh^-2 t, with its cancellation estimate.
+
+    Phi_lam(t) = (2 cosh t)^(i lam - rho) 2F1(a, b; 1 - i lam; cosh^-2 t);
+    the series converges like (cosh^-2 t)^n, so slowly as t -> 0.
+    """
+    a, b, c = _second_kind_args(params, lam)
+    vals, cancel = _series_2f1(a, b, c, np.cosh(t) ** -2.0, tol)
+    return _second_kind_prefactor(params, lam, t) * vals, cancel
+
+
+def _second_kind_prefactor(params: JacobiParams, lam, t):
+    return np.exp((1j * lam - params.rho) * np.log(2.0 * np.cosh(t)))
 
 
 def _forbidden_second_kind(lam):
@@ -112,9 +169,12 @@ def _forbidden_second_kind(lam):
 def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     """Second-kind solution Phi_lam on (0, oo), singular at t = 0.
 
-    Evaluated from the sech^2 hypergeometric series for t >= 0.7 and from
-    the 1-z connection expansion (argument tanh^2 t) below, which stays
-    convergent down to t -> 0 including integer alpha (log case).
+    Below t = 0.7 the 1-z connection expansion (argument tanh^2 t, with the
+    logarithmic case at integer alpha) serves the points where
+    ``series_safe`` certifies its series, that is while 2 sqrt|a b| tanh t
+    stays below ln(tol/eps); every other point takes the cosh^-2 t series,
+    and the points where that series cancels by more than tol go to
+    mpmath.
     """
     lam = complex(lam)
     if _forbidden_second_kind(lam):
@@ -124,19 +184,20 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     t = np.atleast_1d(t)
     if np.any(t <= 0):
         raise DomainError("phi_second_kind requires t > 0")
-    rho = params.rho
-    a = (rho - 1j * lam) / 2.0
-    b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
-    c = 1.0 - 1j * lam
+    a, b, c = _second_kind_args(params, lam)
+    w = np.tanh(t) ** 2
+    near = (t < _PHI2K_SPLIT) & series_safe(a, b, w, tol)
     out = np.empty(t.shape, dtype=complex)
-    pref = np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
-    large = t >= _PHI2K_SPLIT
-    if np.any(large):
-        z = np.cosh(t[large]) ** -2.0
-        out[large] = pref[large] * gauss_2f1_array(a, b, c, z, tol)
-    if np.any(~large):
-        w = np.tanh(t[~large]) ** 2
-        out[~large] = pref[~large] * hyp2f1_near_one(a, b, c, w, tol)
+    pref = _second_kind_prefactor(params, lam, t)
+    if np.any(near):
+        out[near] = pref[near] * hyp2f1_near_one(a, b, c, w[near], tol)
+    if not np.all(near):
+        far = np.flatnonzero(~near)
+        vals, cancel = _cosh_form(params, lam, t[far], tol)
+        bad = far[cancel > tol]
+        out[far] = vals
+        if bad.size:
+            out[bad] = pref[bad] * _mp_2f1(a, b, c, np.cosh(t[bad]) ** -2.0)
     return complex(out[0]) if scalar else out
 
 

@@ -1,8 +1,9 @@
 """Complex Gauss hypergeometric function and complex log-gamma.
 
-Everything else in the library reduces to the two primitives here:
-``gauss_2f1`` for real argument z < 1 with complex parameters, and
-``log_gamma`` on the cut plane.  A quadrature-based Euler-integral
+Everything else in the library reduces to the primitives here: the
+Gauss series ``_series_2f1`` with its cancellation estimate, the routes
+built on it (``gauss_2f1`` for real argument z < 1 with complex
+parameters), and ``log_gamma`` on the cut plane.  A quadrature-based Euler-integral
 evaluation of the same hypergeometric function is provided as an
 independent cross-check.
 """
@@ -19,6 +20,9 @@ from scipy.special import roots_jacobi
 from .errors import DomainError, PrecisionError
 
 MAX_TERMS = 100_000
+_BLOCK = 8  # series terms formed per numpy pass, at first
+_MAX_BLOCK = 64
+_EPS = float(np.finfo(float).eps)
 
 # Lanczos approximation, g = 7, 9 coefficients.
 _LANCZOS_G = 7
@@ -111,35 +115,71 @@ class HypergeometricArgs:
 def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
     """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n over an array z.
 
-    Stops when the last three terms are each below tol * |partial sum|.
+    Returns the sums and, per point, the cancellation estimate
+    eps * max|term| / |sum|: the relative error that rounding in the largest
+    term leaves in the sum (Pearson, Olver & Porter, Numer. Algorithms 74,
+    2017).  Terms are formed in blocks, of ``_BLOCK`` terms at first and up to
+    half the terms formed so far later; a point stops once the
+    last three terms of a block are each below tol * (1 - q) * |partial sum|,
+    q the rate at which its terms fall, so that the geometric tail stays
+    below tol too even for z near 1.  A point that stops leaves the working
+    arrays, so no point runs as long as the slowest one.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    term = np.ones_like(z)
-    total = np.ones_like(z)
-    streak = np.zeros(z.shape, dtype=np.int64)
-    for n in range(max_terms):
-        term = term * ((a + n) * (b + n) / ((c + n) * (n + 1.0))) * z
-        total = total + term
-        small = np.abs(term) <= tol * np.maximum(np.abs(total), 1e-300)
-        streak = np.where(small, streak + 1, 0)
-        if np.all(streak >= 3):
-            return total
-    worst = float(np.max(np.abs(term) / np.maximum(np.abs(total), 1e-300)))
-    raise PrecisionError(
-        f"2F1 series: no convergence within {max_terms} terms "
-        f"(worst relative term {worst:.2e})",
-        achieved=worst,
-    )
+    total = np.empty_like(z)
+    peak = np.empty(z.shape)
+    live = np.arange(z.size)
+    zl = z.ravel()
+    az = np.abs(zl)
+    term = np.ones_like(zl)
+    acc = np.ones_like(zl)
+    top = np.ones(zl.shape)
+    n, block = 0, _BLOCK
+    while live.size:
+        if n >= max_terms:
+            worst = float(np.max(np.abs(term) / np.maximum(np.abs(acc), 1e-300)))
+            raise PrecisionError(
+                f"2F1 series: no convergence within {max_terms} terms "
+                f"(worst relative term {worst:.2e})",
+                achieved=worst,
+            )
+        k = np.arange(n, n + block, dtype=float)
+        ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
+        terms = term * np.cumprod(ratio[:, None] * zl, axis=0)
+        acc = acc + terms.sum(axis=0)
+        mag = np.abs(terms)
+        top = np.maximum(top, mag.max(axis=0))
+        term = terms[-1]
+        n += block
+        # a series that has run long will run longer: fewer, larger passes
+        block = min(_MAX_BLOCK, max(_BLOCK, n // 2))
+        # the terms fall off like q^n, q -> |z|: the tail is |term| q/(1-q)
+        q = az * max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))))
+        done = mag[-3:].max(axis=0) <= tol * np.abs(acc) * np.maximum(1.0 - q, 0.0)
+        if done.any():
+            total.flat[live[done]] = acc[done]
+            peak.flat[live[done]] = top[done]
+            keep = ~done
+            live, zl, az = live[keep], zl[keep], az[keep]
+            term, acc, top = term[keep], acc[keep], top[keep]
+    return total, _EPS * peak / np.maximum(np.abs(total), 1e-300)
 
 
-# Above this size of |a * b * z| the alternating series loses too many
-# digits to cancellation (large |Im a| = |Im b|); switch to arbitrary
-# precision for the affected nodes only.
-_CANCEL_LIMIT = 100.0
+def series_safe(p, q, x, tol):
+    """Mask of points whose series sum_n (p)_n (q)_n/((r)_n n!) x^n keeps tol.
+
+    For |p q| large against the lower parameter the terms grow like those
+    of I_nu(2 sqrt|p q x|) while the sum stays of the size of J_nu, so the
+    series loses about 2 sqrt|p q x| natural-log digits to cancellation.
+    It is kept while that stays below ln(tol / eps).
+    """
+    if not tol > 0:
+        raise DomainError("2F1: tol must be positive")
+    return 2.0 * np.sqrt(np.abs(p * q) * np.abs(x)) < math.log(tol / _EPS)
 
 
 def _mp_2f1(a, b, c, z_vals):
-    """Arbitrary-precision fallback for cancellation-heavy arguments."""
+    """2F1 at 40 digits for the points no double-precision route certifies."""
     import mpmath as mp
 
     out = np.empty(np.shape(z_vals), dtype=complex)
@@ -158,7 +198,7 @@ def _pfaff_2f1(a, b, c, z, tol):
     """Pfaff transform: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     w = z / (z - 1.0)
-    return _pow_real_base(1.0 - z, -a) * _series_2f1(a, c - b, c, w, tol)
+    return _pow_real_base(1.0 - z, -a) * _series_2f1(a, c - b, c, w, tol)[0]
 
 
 def _invz_2f1(a, b, c, z, tol):
@@ -175,20 +215,42 @@ def _invz_2f1(a, b, c, z, tol):
     if coef_a != 0:
         out += coef_a * _pow_real_base(-z, -a) * _series_2f1(
             a, a - c + 1.0, a - b + 1.0, inv, tol
-        )
+        )[0]
     if coef_b != 0:
         out += coef_b * _pow_real_base(-z, -b) * _series_2f1(
             b, b - c + 1.0, b - a + 1.0, inv, tol
-        )
+        )[0]
     return out
+
+
+def series_route(a, b, c, z, tol):
+    """Mask of the points of gauss_2f1_array that a double-precision series keeps.
+
+    The direct series serves z >= -0.5 and the Pfaff series -4 < z < -0.5,
+    each while ``series_safe`` holds for its parameters: |a b z| on the
+    direct route, |a (c-b) w| with w = z/(z-1) on the Pfaff route.  The 1/z
+    connection serves every z <= -4.
+    """
+    z = np.asarray(z, dtype=float)
+    near = z >= -0.5
+    return np.where(
+        near,
+        series_safe(a, b, z, tol),
+        (z <= -4.0) | series_safe(a, c - b, z / (z - 1.0), tol),
+    )
 
 
 def gauss_2f1_array(a, b, c, z, tol=1e-12):
     """2F1(a, b; c; z) for fixed complex parameters over a real array z < 1.
 
-    Direct series for z >= -0.5, Pfaff continuation on (-4, -0.5), and the
-    1/z connection below; falls back to Pfaff when a-b is integral (slower,
-    still convergent for the arguments this library produces).
+    Routes, chosen per point from (a, b, c, z, tol) before any summing:
+    the direct series for z >= -0.5, the Pfaff continuation on (-4, -0.5),
+    and the 1/z connection for z <= -4 (the Pfaff series up to z = -19 and
+    then Richardson-extrapolated detours when a-b is integral).  The direct
+    and Pfaff series are kept only where ``series_route`` says their
+    cancellation stays below tol; the remaining points go to mpmath at 40
+    digits, the last resort (``core.phi`` sends its large-|lambda sinh t|
+    points to the Harish-Chandra expansion before they get here).
     """
     a = complex(a)
     b = complex(b)
@@ -202,28 +264,14 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
     if a == 0 or b == 0:
         out[:] = 1.0
         return out
-    near = z >= -0.5
-    mid = (~near) & (z > -4.0)
+    safe = series_route(a, b, c, z, tol)
+    near = safe & (z >= -0.5)
+    mid = safe & (z < -0.5) & (z > -4.0)
     far = z <= -4.0
     if np.any(near):
-        zn = z[near]
-        hard = np.abs(a * b) * np.abs(zn) > _CANCEL_LIMIT
-        res = np.empty(zn.shape, dtype=complex)
-        if np.any(~hard):
-            res[~hard] = _series_2f1(a, b, c, zn[~hard], tol)
-        if np.any(hard):
-            res[hard] = _mp_2f1(a, b, c, zn[hard])
-        out[near] = res
+        out[near] = _series_2f1(a, b, c, z[near], tol)[0]
     if np.any(mid):
-        zm = z[mid]
-        w_abs = np.abs(zm / (zm - 1.0))
-        hard = np.abs(a * (c - b)) * w_abs > _CANCEL_LIMIT
-        res = np.empty(zm.shape, dtype=complex)
-        if np.any(~hard):
-            res[~hard] = _pfaff_2f1(a, b, c, zm[~hard], tol)
-        if np.any(hard):
-            res[hard] = _mp_2f1(a, b, c, zm[hard])
-        out[mid] = res
+        out[mid] = _pfaff_2f1(a, b, c, z[mid], tol)
     if np.any(far):
         if _near_integer(a - b, 1e-8):
             zf = z[far]
@@ -236,6 +284,8 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
             out[far] = res
         else:
             out[far] = _invz_2f1(a, b, c, z[far], tol)
+    if not np.all(safe):
+        out[~safe] = _mp_2f1(a, b, c, z[~safe])
     return out
 
 
@@ -281,8 +331,8 @@ def hyp2f1_near_one(a, b, c, w, tol=1e-12):
     if not _near_integer(s, 1e-9):
         coef1 = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
         coef2 = gamma(c) * gamma(-s) * rgamma(a) * rgamma(b)
-        t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)
-        t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)
+        t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
+        t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
         return t1 + t2
     m = round(s.real)
     if m >= 0:
@@ -324,13 +374,13 @@ def _hyp2f1_log_case(a, b, m, w, tol):
     term = np.ones(w.shape, dtype=complex) / math.factorial(m)
     total = np.zeros(w.shape, dtype=complex)
     streak = 0
+    # psi(k+1) + psi(k+m+1) - psi(a+k+m) - psi(b+k+m), stepped in k by
+    # psi(x+1) = psi(x) + 1/x from its value at k = 0
+    psi_sum = _digamma(1.0) + _digamma(m + 1.0) - _digamma(a + m) - _digamma(b + m)
     for k in range(MAX_TERMS):
-        psi_sum = (
-            _digamma(k + 1.0)
-            + _digamma(k + m + 1.0)
-            - _digamma(a + k + m)
-            - _digamma(b + k + m)
-        )
+        if k:
+            x = k + m - 1.0
+            psi_sum += 1.0 / k + 1.0 / (x + 1.0) - 1.0 / (a + x) - 1.0 / (b + x)
         contrib = term * (logw - psi_sum)
         total += contrib
         scale = np.maximum(np.abs(total), 1e-300)

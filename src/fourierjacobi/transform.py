@@ -80,12 +80,13 @@ def inverse_transform(params: JacobiParams, fhat, t, quad: QuadratureSpec = DEFA
                       lambda_max=40.0, n_segments=None, order=10):
     """f(t) = (1/4 pi) int_0^lambda_max fhat(lam) phi_lam(t) |c(lam)|^-2 d lam.
 
-    fhat is a callable on real lam (vectorized or scalar); t may be scalar
-    or an array (the node set is shared across all t).  Returns the value
-    together with the magnitude of the last dyadic block as a tail
-    indicator via the second element when return_tail=True is not needed;
-    here we keep the plain value and fold the tail check into the node
-    budget.
+    The integral is truncated at lambda_max and taken by Gauss-Legendre
+    rules of the given order on n_segments equal segments (by default two
+    per unit of lambda_max, at least 16 and at most quad.max_subdivisions);
+    ``inversion_tail_estimate`` bounds what the truncation leaves out.
+    fhat is a callable on real lam, called once on the whole node array,
+    or node by node when it accepts only scalars.  t may be scalar or an
+    array; all t share the node set.
     """
     if n_segments is None:
         n_segments = min(max(16, int(lambda_max * 2)), quad.max_subdivisions)
@@ -93,8 +94,8 @@ def inverse_transform(params: JacobiParams, fhat, t, quad: QuadratureSpec = DEFA
     try:
         fh = np.asarray(fhat(nodes), dtype=complex)
         if fh.shape != nodes.shape:
-            raise ValueError
-    except Exception:
+            raise ValueError("fhat(nodes) does not match the shape of nodes")
+    except (TypeError, ValueError):
         fh = np.array([complex(fhat(x)) for x in nodes])
     dens = plancherel_density(params, nodes)
     coef = weights * fh * dens / (4.0 * np.pi)

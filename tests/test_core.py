@@ -1,5 +1,6 @@
 """Jacobi functions, the c-function, and the differential operators."""
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -15,7 +16,45 @@ from fourierjacobi import (
     strip_region,
     weight_delta,
 )
+from fourierjacobi import special
 from fourierjacobi.core import apply_L, apply_cherednik_T, heckman_opdam_g
+
+def high_band_grid(seed=20170401, n_lam=5, n_t=8):
+    """Seeded (params, lambda, ts): Re lambda in [20, 40], |Im lambda| <= 0.6 rho."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    # generic, alpha = beta, beta = -1/2 with integer alpha, integer alpha
+    for ab in [(2.3, 0.7), (1.2, 1.2), (3.0, -0.5), (1.0, 0.0)]:
+        p = JacobiParams(*ab)
+        for _ in range(n_lam):
+            lam = complex(rng.uniform(20.0, 40.0), rng.uniform(-0.6, 0.6) * p.rho)
+            cases.append((p, lam, np.sort(rng.uniform(0.0, 3.0, n_t))))
+    # the points the former fixed |abz| < 100 threshold left to a cancelling
+    # series: Pfaff route at |a(c-b)w| = 94, direct route at |abz| = 81
+    cases.append((JacobiParams(3.0, -0.5), 22.1 - 1.72j, np.array([1.35])))
+    cases.append((JacobiParams(2.3, 0.7), 37.4 + 0j, np.array([0.46])))
+    return cases
+
+
+def mp_phi(p, lam, t):
+    with mp.workdps(30):
+        lam = mp.mpc(lam)
+        rho = mp.mpf(p.rho)
+        z = -mp.sinh(mp.mpf(float(t))) ** 2
+        return complex(mp.hyp2f1((rho - 1j * lam) / 2, (rho + 1j * lam) / 2,
+                                 mp.mpf(p.alpha) + 1, z))
+
+
+def mp_phi_second_kind(p, lam, t):
+    with mp.workdps(30):
+        lam = mp.mpc(lam)
+        rho = mp.mpf(p.rho)
+        t = mp.mpf(float(t))
+        a = (rho - 1j * lam) / 2
+        b = (mp.mpf(p.alpha) - mp.mpf(p.beta) + 1 - 1j * lam) / 2
+        val = mp.power(2 * mp.cosh(t), 1j * lam - rho) * mp.hyp2f1(
+            a, b, 1 - 1j * lam, mp.cosh(t) ** -2)
+        return complex(val)
 
 
 class TestParams:
@@ -65,6 +104,22 @@ class TestPhi:
         vals = phi(standard_params, 1j * standard_params.rho, ts)
         assert np.allclose(vals, 1.0, atol=1e-12)
 
+    def test_high_band_matches_mpmath(self):
+        for p, lam, ts in high_band_grid():
+            got = phi(p, lam, ts)
+            for t, g in zip(ts, got):
+                want = mp_phi(p, lam, t)
+                assert abs(g - want) <= 1e-10 * abs(want), (p, lam, t)
+
+    def test_high_band_needs_no_mpmath(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("phi reached the mpmath fallback")
+
+        # phi reaches mpmath only through gauss_2f1_array
+        monkeypatch.setattr(special, "_mp_2f1", refuse)
+        for p, lam, ts in high_band_grid():
+            assert np.all(np.isfinite(phi(p, lam, ts)))
+
 
 class TestSecondKind:
     def test_connection_formula(self, standard_params):
@@ -84,6 +139,21 @@ class TestSecondKind:
             v1 = complex(phi_second_kind(standard_params, lam, t))
             v2 = complex(phi_second_kind_sinh_form(standard_params, lam, t))
             assert v1 == pytest.approx(v2, rel=1e-10)
+
+    @pytest.mark.parametrize("ab", [(1.0, 0.0), (2.3, 0.7)])
+    def test_large_lambda_below_split_matches_mpmath(self, ab):
+        # below t = 0.7 the near-one expansion cancels at large |lambda|
+        p = JacobiParams(*ab)
+        lam, t = 30.0 + 0.5j, 0.69
+        want = mp_phi_second_kind(p, lam, t)
+        assert abs(phi_second_kind(p, lam, t) - want) <= 1e-10 * abs(want)
+
+    def test_cosh_series_keeps_tol_near_its_lower_end(self):
+        # cosh^-2 t -> 1: the geometric tail of the series must stay below tol
+        p = JacobiParams(2.3, 0.7)
+        for t in (0.22, 0.25, 0.3):
+            want = mp_phi_second_kind(p, 40.0, t)
+            assert abs(phi_second_kind(p, 40.0, t) - want) <= 1e-12 * abs(want)
 
     def test_exponential_asymptotics(self, standard_params):
         lam = 1.1 + 0.4j
