@@ -17,19 +17,14 @@ import numpy as np
 
 from .errors import DomainError
 from .special import (
-    _mp_2f1,
-    _series_2f1,
+    gamma_ratio,
     gauss_2f1_array,
     hyp2f1_near_one,
     is_nonpositive_integer,
-    log_gamma,
-    rgamma,
-    series_route,
     series_safe,
 )
 
 _PHI2K_SPLIT = 0.7  # t above which Phi always takes the cosh^-2 t series
-_HC_POLE_GAP = 1.0  # least distance from lambda to iZ for the Harish-Chandra route
 
 
 @dataclass(frozen=True)
@@ -97,68 +92,20 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     """Jacobi function of the first kind; even in t and in lambda.
 
     phi_lam(t) = 2F1((rho - i lam)/2, (rho + i lam)/2; alpha + 1; -sinh^2 t).
-    Accepts scalar or array t.  Each point takes one route, chosen from
-    (params, lam, t, tol) before any summing: ``gauss_2f1_array``'s direct,
-    Pfaff or 1/z series wherever ``series_route`` certifies them (roughly
-    |lam sinh t| below ln(tol/eps)); otherwise, for lam at distance >= 1
-    from iZ (the poles of c(+-lam) and Phi_+-lam), the Harish-Chandra
-    expansion c(lam) Phi_lam + c(-lam) Phi_-lam with Phi from its cosh-form
-    series.  Points whose Phi series cancel by more than tol, and points
-    nearer iZ, go to ``gauss_2f1_array``, whose last resort is mpmath.
+    Accepts scalar or array t.  ``gauss_2f1_array`` picks each point's
+    route: its series while |lam sinh t| roughly stays below ln(tol/eps),
+    else, for lam at distance >= 1 from iZ, the 1/(1-z) connection, which
+    here is the Harish-Chandra expansion c(lam) Phi_lam + c(-lam) Phi_-lam
+    with Phi from its cosh^-2 t series; mpmath is the last resort.
     """
     lam = complex(lam)
     t = np.asarray(t, dtype=float)
     scalar = t.ndim == 0
-    t = np.abs(np.atleast_1d(t))
-    z = -np.sinh(t) ** 2
+    z = -np.sinh(np.atleast_1d(t)) ** 2
     a = (params.rho - 1j * lam) / 2.0
     b = (params.rho + 1j * lam) / 2.0
-    c = params.alpha + 1.0
-    out = np.empty(t.shape, dtype=complex)
-    todo = np.ones(t.shape, dtype=bool)
-    hc = np.flatnonzero(~series_route(a, b, c, z, tol))
-    if hc.size and _pole_gap(lam) >= _HC_POLE_GAP:
-        vals, cancel = _harish_chandra(params, lam, t[hc], tol)
-        ok = cancel <= tol
-        out[hc[ok]] = vals[ok]
-        todo[hc[ok]] = False
-    if np.any(todo):
-        out[todo] = gauss_2f1_array(a, b, c, z[todo], tol)
+    out = gauss_2f1_array(a, b, params.alpha + 1.0, z, tol)
     return complex(out[0]) if scalar else out
-
-
-def _pole_gap(lam):
-    """Distance from lam to iZ, where c(lam), c(-lam) and Phi_+-lam have poles."""
-    return abs(complex(lam.real, lam.imag - round(lam.imag)))
-
-
-def _harish_chandra(params: JacobiParams, lam, t, tol):
-    """c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) and the worse Phi cancellation."""
-    up, cancel_up = _cosh_form(params, lam, t, tol)
-    down, cancel_down = _cosh_form(params, -lam, t, tol)
-    vals = c_function(params, lam) * up + c_function(params, -lam) * down
-    return vals, np.maximum(cancel_up, cancel_down)
-
-
-def _second_kind_args(params: JacobiParams, lam):
-    a = (params.rho - 1j * lam) / 2.0
-    b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
-    return a, b, 1.0 - 1j * lam
-
-
-def _cosh_form(params: JacobiParams, lam, t, tol):
-    """Phi_lam(t) from its series in cosh^-2 t, with its cancellation estimate.
-
-    Phi_lam(t) = (2 cosh t)^(i lam - rho) 2F1(a, b; 1 - i lam; cosh^-2 t);
-    the series converges like (cosh^-2 t)^n, so slowly as t -> 0.
-    """
-    a, b, c = _second_kind_args(params, lam)
-    vals, cancel = _series_2f1(a, b, c, np.cosh(t) ** -2.0, tol)
-    return _second_kind_prefactor(params, lam, t) * vals, cancel
-
-
-def _second_kind_prefactor(params: JacobiParams, lam, t):
-    return np.exp((1j * lam - params.rho) * np.log(2.0 * np.cosh(t)))
 
 
 def _forbidden_second_kind(lam):
@@ -169,12 +116,13 @@ def _forbidden_second_kind(lam):
 def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     """Second-kind solution Phi_lam on (0, oo), singular at t = 0.
 
+    Phi_lam(t) = (2 cosh t)^(i lam - rho) 2F1(a, b; 1 - i lam; cosh^-2 t).
     Below t = 0.7 the 1-z connection expansion (argument tanh^2 t, with the
     logarithmic case at integer alpha) serves the points where
     ``series_safe`` certifies its series, that is while 2 sqrt|a b| tanh t
-    stays below ln(tol/eps); every other point takes the cosh^-2 t series,
-    and the points where that series cancels by more than tol go to
-    mpmath.
+    stays below ln(tol/eps).  Every other point takes the cosh^-2 t form
+    through ``gauss_2f1_array``, which keeps its series where the
+    cancellation estimate is at most tol and otherwise uses mpmath.
     """
     lam = complex(lam)
     if _forbidden_second_kind(lam):
@@ -184,20 +132,18 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     t = np.atleast_1d(t)
     if np.any(t <= 0):
         raise DomainError("phi_second_kind requires t > 0")
-    a, b, c = _second_kind_args(params, lam)
+    rho = params.rho
+    a = (rho - 1j * lam) / 2.0
+    b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
+    c = 1.0 - 1j * lam
     w = np.tanh(t) ** 2
     near = (t < _PHI2K_SPLIT) & series_safe(a, b, w, tol)
     out = np.empty(t.shape, dtype=complex)
-    pref = _second_kind_prefactor(params, lam, t)
     if np.any(near):
-        out[near] = pref[near] * hyp2f1_near_one(a, b, c, w[near], tol)
+        out[near] = hyp2f1_near_one(a, b, c, w[near], tol)
     if not np.all(near):
-        far = np.flatnonzero(~near)
-        vals, cancel = _cosh_form(params, lam, t[far], tol)
-        bad = far[cancel > tol]
-        out[far] = vals
-        if bad.size:
-            out[bad] = pref[bad] * _mp_2f1(a, b, c, np.cosh(t[bad]) ** -2.0)
+        out[~near] = gauss_2f1_array(a, b, c, np.cosh(t[~near]) ** -2.0, tol)
+    out *= np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
     return complex(out[0]) if scalar else out
 
 
@@ -234,13 +180,11 @@ def c_function(params: JacobiParams, lam):
             f"c_function: Gamma(i*lambda) pole at lambda={lam} (i*lambda={il})"
         )
     rho = params.rho
-    log_num = (rho - il) * math.log(2.0) + log_gamma(params.alpha + 1.0) + log_gamma(il)
-    den1 = (rho + il) / 2.0
-    den2 = (il + params.alpha - params.beta + 1.0) / 2.0
     # Denominator Gamma poles are ordinary zeros of c.
-    r1 = rgamma(den1)
-    r2 = rgamma(den2)
-    return cmath.exp(log_num) * r1 * r2
+    return cmath.exp((rho - il) * math.log(2.0)) * gamma_ratio(
+        (params.alpha + 1.0, il),
+        ((rho + il) / 2.0, (il + params.alpha - params.beta + 1.0) / 2.0),
+    )
 
 
 def heckman_opdam_g(params: JacobiParams, lam, x, tol=1e-12):

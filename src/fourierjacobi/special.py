@@ -20,8 +20,8 @@ from scipy.special import roots_jacobi
 from .errors import DomainError, PrecisionError
 
 MAX_TERMS = 100_000
-_BLOCK = 8  # series terms formed per numpy pass, at first
-_MAX_BLOCK = 64
+_CONN_POLE_GAP = 1.0  # least distance from a-b to Z for the 1/(1-z) connection
+_BLOCK = 32  # series terms formed per numpy pass
 _EPS = float(np.finfo(float).eps)
 
 # Lanczos approximation, g = 7, 9 coefficients.
@@ -65,17 +65,26 @@ def log_gamma(z, tol=1e-12):
     if is_nonpositive_integer(z, tol):
         raise DomainError(f"log_gamma: pole at z={z} (nonpositive integer)")
     if z.real < 0.5:
-        return (
-            math.log(math.pi)
-            - cmath.log(cmath.sin(cmath.pi * z))
-            - log_gamma(1.0 - z, tol)
-        )
+        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z, tol)
     zm = z - 1.0
     acc = _LANCZOS_COEF[0]
     for k in range(1, len(_LANCZOS_COEF)):
         acc += _LANCZOS_COEF[k] / (zm + k)
     t = zm + _LANCZOS_G + 0.5
     return _HALF_LOG_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
+
+
+def _log_sin_pi(z):
+    """log sin(pi z), up to a multiple of 2 pi i; finite for any |Im z|.
+
+    sin(pi z) itself overflows once |Im z| passes about 225; for
+    |Im z| > 5 it is factored as -+(i/2) e^(-+i pi z) (1 - e^(+-2 i pi z)).
+    """
+    if abs(z.imag) <= 5.0:
+        return cmath.log(cmath.sin(cmath.pi * z))
+    s = 1.0 if z.imag > 0 else -1.0
+    w = cmath.pi * z
+    return -s * 1j * w + cmath.log(1.0 - cmath.exp(s * 2j * w)) + cmath.log(s * 0.5j)
 
 
 def gamma(z):
@@ -118,8 +127,7 @@ def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
     Returns the sums and, per point, the cancellation estimate
     eps * max|term| / |sum|: the relative error that rounding in the largest
     term leaves in the sum (Pearson, Olver & Porter, Numer. Algorithms 74,
-    2017).  Terms are formed in blocks, of ``_BLOCK`` terms at first and up to
-    half the terms formed so far later; a point stops once the
+    2017).  Terms are formed ``_BLOCK`` at a time; a point stops once the
     last three terms of a block are each below tol * (1 - q) * |partial sum|,
     q the rate at which its terms fall, so that the geometric tail stays
     below tol too even for z near 1.  A point that stops leaves the working
@@ -134,7 +142,7 @@ def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
     term = np.ones_like(zl)
     acc = np.ones_like(zl)
     top = np.ones(zl.shape)
-    n, block = 0, _BLOCK
+    n = 0
     while live.size:
         if n >= max_terms:
             worst = float(np.max(np.abs(term) / np.maximum(np.abs(acc), 1e-300)))
@@ -143,16 +151,14 @@ def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
                 f"(worst relative term {worst:.2e})",
                 achieved=worst,
             )
-        k = np.arange(n, n + block, dtype=float)
+        k = np.arange(n, n + _BLOCK, dtype=float)
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
         terms = term * np.cumprod(ratio[:, None] * zl, axis=0)
         acc = acc + terms.sum(axis=0)
         mag = np.abs(terms)
         top = np.maximum(top, mag.max(axis=0))
         term = terms[-1]
-        n += block
-        # a series that has run long will run longer: fewer, larger passes
-        block = min(_MAX_BLOCK, max(_BLOCK, n // 2))
+        n += _BLOCK
         # the terms fall off like q^n, q -> |z|: the tail is |term| q/(1-q)
         q = az * max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))))
         done = mag[-3:].max(axis=0) <= tol * np.abs(acc) * np.maximum(1.0 - q, 0.0)
@@ -178,6 +184,26 @@ def series_safe(p, q, x, tol):
     return 2.0 * np.sqrt(np.abs(p * q) * np.abs(x)) < math.log(tol / _EPS)
 
 
+def _one_signed(p, q, r):
+    """True when (p)_n (q)_n / (r)_n > 0 for every n: p, q, r real and positive.
+
+    A series with such parameters and x >= 0 has no cancellation to lose.
+    """
+    return all(v.imag == 0 and v.real > 0 for v in (p, q, r))
+
+
+def _series_fits(x, sigma, tol):
+    """Mask of x in [0, 1) whose series ends within half of MAX_TERMS.
+
+    Past the parameters the terms fall like n^sigma x^n, so the stopping
+    rule of ``_series_2f1`` is met after about
+    (ln(1/tol) + ln(1/(1-x)) + sigma ln n) / (1-x) terms.
+    """
+    s = np.maximum(1.0 - x, 1e-300)
+    need = math.log(1.0 / tol) - np.log(s) + max(sigma, 0.0) * math.log(MAX_TERMS)
+    return need <= 0.5 * MAX_TERMS * s
+
+
 def _mp_2f1(a, b, c, z_vals):
     """2F1 at 40 digits for the points no double-precision route certifies."""
     import mpmath as mp
@@ -195,49 +221,125 @@ def _pow_real_base(x, p):
 
 
 def _pfaff_2f1(a, b, c, z, tol):
-    """Pfaff transform: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0."""
+    """Pfaff transform: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0.
+
+    Returns the values and the series' cancellation estimate.
+    """
     z = np.atleast_1d(np.asarray(z, dtype=float))
     w = z / (z - 1.0)
-    return _pow_real_base(1.0 - z, -a) * _series_2f1(a, c - b, c, w, tol)[0]
+    vals, cancel = _series_2f1(a, c - b, c, w, tol)
+    return _pow_real_base(1.0 - z, -a) * vals, cancel
 
 
 def _invz_2f1(a, b, c, z, tol):
-    """Two-term z -> 1/z connection for large negative z; needs a-b not integer."""
+    """Two-term z -> 1/z connection for large negative z; needs a-b not integer.
+
+    Returns the values and the worse of the two series' cancellation
+    estimates.
+    """
     if _near_integer(a - b, 1e-8):
         raise PrecisionError(
             f"2F1: 1/z connection degenerate (a-b={a - b} near integer)"
         )
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    inv = 1.0 / z
-    coef_a = gamma(complex(c)) * gamma(b - a) * rgamma(b) * rgamma(c - a)
-    coef_b = gamma(complex(c)) * gamma(a - b) * rgamma(a) * rgamma(c - b)
-    out = np.zeros_like(z, dtype=complex)
-    if coef_a != 0:
-        out += coef_a * _pow_real_base(-z, -a) * _series_2f1(
-            a, a - c + 1.0, a - b + 1.0, inv, tol
-        )[0]
-    if coef_b != 0:
-        out += coef_b * _pow_real_base(-z, -b) * _series_2f1(
-            b, b - c + 1.0, b - a + 1.0, inv, tol
-        )[0]
-    return out
+    out = np.zeros(z.shape, dtype=complex)
+    cancel = np.zeros(z.shape)
+    for p, q in ((a, b), (b, a)):
+        coef = gamma_ratio((c, q - p), (q, c - p))
+        if coef != 0:
+            vals, est = _series_2f1(p, p - c + 1.0, p - q + 1.0, 1.0 / z, tol)
+            out += coef * _pow_real_base(-z, -p) * vals
+            cancel = np.maximum(cancel, est)
+    return out, cancel
 
 
-def series_route(a, b, c, z, tol):
-    """Mask of the points of gauss_2f1_array that a double-precision series keeps.
+def gamma_ratio(num, den):
+    """prod Gamma(num) / prod Gamma(den), formed in log space; 0 at a pole of den.
 
-    The direct series serves z >= -0.5 and the Pfaff series -4 < z < -0.5,
-    each while ``series_safe`` holds for its parameters: |a b z| on the
-    direct route, |a (c-b) w| with w = z/(z-1) on the Pfaff route.  The 1/z
-    connection serves every z <= -4.
+    The factors may leave the double range (|Gamma(i y)| ~ e^(-pi |y| / 2))
+    while the ratio does not.
+    """
+    if any(is_nonpositive_integer(d) for d in den):
+        return 0j
+    return cmath.exp(sum(log_gamma(v) for v in num) - sum(log_gamma(v) for v in den))
+
+
+def _conn_2f1(a, b, c, z, tol):
+    """1/(1-z) connection for z < 0 (DLMF 15.8.3), with its cancellation estimate.
+
+    2F1(a, b; c; z) = G(c) G(b-a) / (G(b) G(c-a)) (1-z)^-a 2F1(a, c-b; a-b+1; x)
+                    + G(c) G(a-b) / (G(a) G(c-b)) (1-z)^-b 2F1(b, c-a; b-a+1; x)
+    with x = 1/(1-z); needs a-b away from the integers.  For phi_lam(t),
+    z = -sinh^2 t, it is the Harish-Chandra expansion
+    c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) with x = cosh^-2 t (Koornwinder
+    1984).  The estimate returned is the worse of the two series'.
     """
     z = np.asarray(z, dtype=float)
-    near = z >= -0.5
-    return np.where(
-        near,
-        series_safe(a, b, z, tol),
-        (z <= -4.0) | series_safe(a, c - b, z / (z - 1.0), tol),
+    x = 1.0 / (1.0 - z)
+    out = np.zeros(z.shape, dtype=complex)
+    cancel = np.zeros(z.shape)
+    for p, q in ((a, b), (b, a)):
+        coef = gamma_ratio((c, q - p), (q, c - p))
+        if coef != 0:
+            vals, est = _series_2f1(p, c - q, p - q + 1.0, x, tol)
+            out += coef * _pow_real_base(1.0 - z, -p) * vals
+            cancel = np.maximum(cancel, est)
+    return out, cancel
+
+
+def _series_route(a, b, c, z, tol):
+    """Mask of the points of gauss_2f1_array whose series is certified before summing.
+
+    The direct series serves z >= -0.5, the Pfaff series -4 < z < -0.5 and
+    the 1/z connection z <= -4 (the Pfaff series down to z = -19 when a-b
+    is integral), each while ``series_safe`` holds for every series it
+    sums (|a b z| on the direct route, |a (c-b) w| with w = z/(z-1) on the
+    Pfaff route, |a (a-c+1) / z| and |b (b-c+1) / z| on the 1/z route) or
+    the series' terms are all of one sign.  The direct series at z > 0
+    must also end within MAX_TERMS.
+    """
+    z = np.asarray(z, dtype=float)
+    direct = (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0))) & (
+        (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
     )
+    pfaff = series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c)
+    inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
+    invz = series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol)
+    if _near_integer(a - b, 1e-8):
+        invz = np.where(z >= -19.0, pfaff, invz)
+    return np.where(z >= -0.5, direct, np.where(z > -4.0, pfaff, invz))
+
+
+def _checked_2f1(a, b, c, z, tol):
+    """Values and cancellation estimates at the points _series_route leaves.
+
+    Points with z < 0 take the 1/(1-z) connection when a-b lies at
+    distance >= 1 from the integers; the others take their own route's
+    series: direct, Pfaff (down to z = -19 when a-b is integral) or 1/z.
+    A point whose series would not end within MAX_TERMS, or that needs the
+    Richardson detours, gets an infinite estimate without being summed.
+    """
+    out = np.zeros(z.shape, dtype=complex)
+    cancel = np.full(z.shape, np.inf)
+    d = a - b
+    degenerate = _near_integer(d, 1e-8)
+    conn = (z < 0) & _series_fits(1.0 / (1.0 - z), c.real - 2.0, tol)
+    if abs(d - round(d.real)) < _CONN_POLE_GAP:
+        conn[:] = False
+    direct = ~conn & (z >= -0.5) & (
+        (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
+    )
+    pfaff = ~conn & (z < -0.5) & (z > (-19.0 if degenerate else -4.0))
+    invz = ~conn & (z <= -4.0) & (not degenerate)
+    for mask, route in (
+        (conn, _conn_2f1),
+        (direct, _series_2f1),
+        (pfaff, _pfaff_2f1),
+        (invz, _invz_2f1),
+    ):
+        if np.any(mask):
+            out[mask], cancel[mask] = route(a, b, c, z[mask], tol)
+    return out, cancel
 
 
 def gauss_2f1_array(a, b, c, z, tol=1e-12):
@@ -246,11 +348,14 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
     Routes, chosen per point from (a, b, c, z, tol) before any summing:
     the direct series for z >= -0.5, the Pfaff continuation on (-4, -0.5),
     and the 1/z connection for z <= -4 (the Pfaff series up to z = -19 and
-    then Richardson-extrapolated detours when a-b is integral).  The direct
-    and Pfaff series are kept only where ``series_route`` says their
-    cancellation stays below tol; the remaining points go to mpmath at 40
-    digits, the last resort (``core.phi`` sends its large-|lambda sinh t|
-    points to the Harish-Chandra expansion before they get here).
+    then Richardson-extrapolated detours when a-b is integral).  These are
+    taken only where ``_series_route`` says their cancellation stays below
+    tol, roughly while 2 sqrt|a b z| < ln(tol/eps) on the direct route.
+    The other points take the 1/(1-z) connection for z < 0 (for phi, the
+    Harish-Chandra expansion at large |lambda sinh t|), or their own
+    series when a-b lies within 1 of an integer, and keep the result where
+    its cancellation estimate is at most tol.  What is left goes to mpmath
+    at 40 digits, the last resort.
     """
     a = complex(a)
     b = complex(b)
@@ -264,28 +369,33 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
     if a == 0 or b == 0:
         out[:] = 1.0
         return out
-    safe = series_route(a, b, c, z, tol)
+    safe = _series_route(a, b, c, z, tol)
     near = safe & (z >= -0.5)
     mid = safe & (z < -0.5) & (z > -4.0)
-    far = z <= -4.0
+    far = safe & (z <= -4.0)
     if np.any(near):
         out[near] = _series_2f1(a, b, c, z[near], tol)[0]
     if np.any(mid):
-        out[mid] = _pfaff_2f1(a, b, c, z[mid], tol)
+        out[mid] = _pfaff_2f1(a, b, c, z[mid], tol)[0]
     if np.any(far):
         if _near_integer(a - b, 1e-8):
             zf = z[far]
             moderate = zf >= -19.0
             res = np.empty(zf.shape, dtype=complex)
             if np.any(moderate):
-                res[moderate] = _pfaff_2f1(a, b, c, zf[moderate], tol)
+                res[moderate] = _pfaff_2f1(a, b, c, zf[moderate], tol)[0]
             if np.any(~moderate):
                 res[~moderate] = _invz_degenerate(a, b, c, zf[~moderate], tol)
             out[far] = res
         else:
-            out[far] = _invz_2f1(a, b, c, z[far], tol)
-    if not np.all(safe):
-        out[~safe] = _mp_2f1(a, b, c, z[~safe])
+            out[far] = _invz_2f1(a, b, c, z[far], tol)[0]
+    left = np.flatnonzero(~safe)
+    if left.size:
+        vals, cancel = _checked_2f1(a, b, c, z[left], tol)
+        ok = cancel <= tol
+        out[left[ok]] = vals[ok]
+        if not np.all(ok):
+            out[left[~ok]] = _mp_2f1(a, b, c, z[left[~ok]])
     return out
 
 
@@ -299,7 +409,7 @@ def _invz_degenerate(a, b, c, z, tol, eps=1e-4):
 
     def sym(h):
         return 0.5 * (
-            _invz_2f1(a + h, b, c, z, tol) + _invz_2f1(a - h, b, c, z, tol)
+            _invz_2f1(a + h, b, c, z, tol)[0] + _invz_2f1(a - h, b, c, z, tol)[0]
         )
 
     return (4.0 * sym(eps) - sym(2.0 * eps)) / 3.0

@@ -120,6 +120,25 @@ class TestPhi:
         for p, lam, ts in high_band_grid():
             assert np.all(np.isfinite(phi(p, lam, ts)))
 
+    @pytest.mark.parametrize("lam", [1000.0, 1000.0 + 0.3j, 450.0])
+    def test_large_lambda_near_origin_matches_mpmath(self, lam):
+        # |lam sinh t| is past ln(tol/eps), and the cosh^-2 t series of the
+        # Harish-Chandra expansion would need more than MAX_TERMS terms
+        for ab in [(2.3, 0.7), (1.0, 0.0)]:
+            p = JacobiParams(*ab)
+            ts = np.linspace(0.009, 0.03, 4)
+            for t, g in zip(ts, phi(p, lam, ts)):
+                want = mp_phi(p, lam, t)
+                assert abs(g - want) <= 1e-10 * abs(want), (ab, t)
+
+    def test_tol_below_eps(self):
+        # no double-precision series certifies tol = 1e-16
+        p = JacobiParams(2.3, 0.7)
+        assert abs(phi(p, 30.0, 0.0, tol=1e-16) - 1.0) <= 1e-15
+        for lam in (5.0, 30.0):
+            want = mp_phi(p, lam, 0.5)
+            assert abs(phi(p, lam, 0.5, tol=1e-16) - want) <= 1e-13 * abs(want)
+
 
 class TestSecondKind:
     def test_connection_formula(self, standard_params):
@@ -155,6 +174,18 @@ class TestSecondKind:
             want = mp_phi_second_kind(p, 40.0, t)
             assert abs(phi_second_kind(p, 40.0, t) - want) <= 1e-12 * abs(want)
 
+    @pytest.mark.parametrize("lam", [1000.0, 450.0])
+    def test_large_lambda_near_origin_matches_mpmath(self, lam):
+        # neither the near-one expansion nor the cosh^-2 t series ends
+        # within MAX_TERMS here; the bound allows for the rounding of
+        # cosh^-2 t, to which Phi is sensitive at large lambda near 1
+        for ab in [(2.3, 0.7), (1.0, 0.0)]:
+            p = JacobiParams(*ab)
+            ts = np.linspace(0.009, 0.03, 4)
+            for t, g in zip(ts, phi_second_kind(p, lam, ts)):
+                want = mp_phi_second_kind(p, lam, t)
+                assert abs(g - want) <= 1e-10 * abs(want), (ab, t)
+
     def test_exponential_asymptotics(self, standard_params):
         lam = 1.1 + 0.4j
         t = 10.0
@@ -181,6 +212,17 @@ class TestCFunction:
         p = JacobiParams(0.5, -0.5)
         for lam in (0.5, 1.0, 3.0, 0.4 - 0.8j):
             assert c_function(p, lam) == pytest.approx(1.0 / (1j * lam), rel=1e-12)
+
+    @pytest.mark.parametrize("lam", [300.0, 1000.0 - 0.5j])
+    def test_large_lambda_matches_mpmath(self, lam):
+        # Gamma(i lam) and 1/Gamma((rho + i lam)/2) leave the double range
+        p = JacobiParams(2.3, 0.7)
+        with mp.workdps(30):
+            il = 1j * mp.mpc(lam)
+            want = complex(mp.power(2, p.rho - il) * mp.gamma(p.alpha + 1) * mp.gamma(il)
+                           * mp.rgamma((p.rho + il) / 2)
+                           * mp.rgamma((il + p.alpha - p.beta + 1) / 2))
+        assert c_function(p, lam) == pytest.approx(want, rel=1e-10)
 
     @pytest.mark.parametrize("lam", [0.0, 1j, 3j])
     def test_gamma_poles_rejected(self, lam):

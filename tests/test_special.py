@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fourierjacobi import special
 from fourierjacobi.errors import DomainError
 from fourierjacobi.special import (
     euler_integral_2f1,
@@ -23,6 +24,16 @@ from fourierjacobi.special import (
 def mp_2f1(a, b, c, z):
     with mp.workdps(40):
         return complex(mp.hyp2f1(a, b, c, z))
+
+
+@pytest.fixture
+def no_mpmath(monkeypatch):
+    """Make the library's mpmath fallback raise; mp_2f1 above is unaffected."""
+
+    def refuse(*args):
+        raise AssertionError("gauss_2f1 reached the mpmath fallback")
+
+    monkeypatch.setattr(special, "_mp_2f1", refuse)
 
 
 class TestGamma:
@@ -57,7 +68,9 @@ class TestGamma:
 
     def test_log_gamma_matches_mpmath(self):
         # only defined up to 2 pi i (the library always exponentiates it)
-        for z in (0.2 + 3j, 4.5 - 1j, -2.3 + 0.4j):
+        # far from the real axis sin(pi z) in the reflection formula
+        # overflows (past |Im z| ~ 225)
+        for z in (0.2 + 3j, 4.5 - 1j, -2.3 + 0.4j, 0.1 + 300j, 0.2 - 1000j, -5.5 + 40j):
             with mp.workdps(30):
                 want = complex(mp.loggamma(z))
             diff = log_gamma(z) - want
@@ -86,6 +99,19 @@ class TestGauss2F1:
         for z in (-0.4, -1.4, -3.0):
             got = gauss_2f1(a, b, c, z)
             assert got == pytest.approx(mp_2f1(a, b, c, z), rel=1e-9)
+
+    @pytest.mark.parametrize("lam", [20.0, 40.0])
+    def test_connection_route_for_large_imaginary_parameters(self, lam, no_mpmath):
+        # the series cancel here; the 1/(1-z) connection does not
+        a, b, c = (2.0 - 1j * lam) / 2, (2.0 + 1j * lam) / 2, 1.5
+        for z in (-0.5, -1.4, -2.6, -3.5):
+            assert gauss_2f1(a, b, c, z) == pytest.approx(mp_2f1(a, b, c, z), rel=1e-10)
+
+    def test_one_signed_series_needs_no_mpmath(self, no_mpmath):
+        # real a, c-b, c > 0: the Pfaff series has no cancellation to lose
+        a, b, c = 20.0, 1.0, 12.0
+        for z in (-0.7, -2.0, -3.5):
+            assert gauss_2f1(a, b, c, z) == pytest.approx(mp_2f1(a, b, c, z), rel=1e-12)
 
     def test_argument_on_cut_rejected(self):
         with pytest.raises(DomainError):
