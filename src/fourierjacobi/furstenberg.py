@@ -21,15 +21,15 @@ from .transform import forward_transform_measure
 from .translation import convolve_measure
 
 
-def harmonic_step(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
-                  quad: QuadratureSpec = DEFAULT_QUAD) -> GridFunction:
+def harmonic_step(params: JacobiParams, f: GridFunction,
+                  mu: EvenMeasure) -> GridFunction:
     """One convolution step f -> f * mu on the shrunken certified domain."""
     if mu.reach >= f.tmax:
         raise DomainError(
             f"harmonic_step: measure reach {mu.reach} exhausts the domain "
             f"(remaining {f.tmax})"
         )
-    return convolve_measure(params, f, mu, quad)
+    return convolve_measure(params, f, mu)
 
 
 def _flatness(values) -> float:
@@ -80,7 +80,7 @@ def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
     report.steps.append({"step": 0, "valid_tmax": f.tmax, "flatness": flats[0]})
     cur = f
     for k in range(1, n + 1):
-        cur = harmonic_step(params, cur, mu, quad)
+        cur = harmonic_step(params, cur, mu)
         flats.append(_flatness(cur.values))
         report.steps.append(
             {"step": k, "valid_tmax": cur.tmax, "flatness": flats[-1]}

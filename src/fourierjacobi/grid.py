@@ -39,7 +39,7 @@ class GridFunction:
             raise DomainError("GridFunction: samples must be finite")
         if self.interpolation not in _INTERPOLATIONS:
             raise DomainError(f"GridFunction: unknown interpolation {self.interpolation!r}")
-        self._spline = None
+        self._coef = None
 
     @property
     def n(self) -> int:
@@ -60,6 +60,12 @@ class GridFunction:
         return cls(float(tmax), vals, interpolation)
 
     def __call__(self, t):
+        """Interpolate at t (scalar or array); a scalar gives a Python complex.
+
+        The cubic branch evaluates the CubicSpline pieces directly on the
+        uniform grid: piece k = floor(t / dt), capped at n - 2, by Horner in
+        u = t - k dt.  NaN gives NaN.
+        """
         t = np.abs(np.asarray(t, dtype=float))
         scalar = t.ndim == 0
         t = np.atleast_1d(t)
@@ -74,9 +80,20 @@ class GridFunction:
                 t, self.ts, self.values.imag
             )
         else:
-            if self._spline is None:
-                self._spline = CubicSpline(self.ts, self.values)
-            out = self._spline(t)
+            if self._coef is None:
+                # piecewise coefficients, highest degree first: c0 u^3 + ... + c3
+                self._coef = [np.ascontiguousarray(c)
+                              for c in CubicSpline(self.ts, self.values).c]
+            c0, c1, c2, c3 = self._coef
+            dt = self.dt
+            # fmin sends NaN to the last piece, where u and so the value stay NaN
+            k = np.fmin(t / dt, self.n - 2).astype(np.intp)
+            u = t - k * dt
+            out = c0[k] * u
+            for c in (c1, c2):
+                out += c[k]
+                out *= u
+            out += c3[k]
         return complex(out[0]) if scalar else out
 
     # --- CSV format: header "t,re,im", uniform increasing t from 0 ---

@@ -22,6 +22,7 @@ from .quadrature import composite_gauss_nodes, integrate
 from .special import log_gamma
 
 _DEGENERATE_TOL = 1e-10
+_CHUNK = 16384  # kernel arguments per call of f in _translate_batch
 
 
 def _lg(x):
@@ -87,15 +88,7 @@ def kernel_mass(params: JacobiParams, n_r=32, n_psi=32):
     return float(np.sum(w))
 
 
-def _translate_arguments(r, cos_psi, sin_psi, s, t):
-    a = np.cosh(s) * np.cosh(t)
-    b = np.sinh(s) * np.sinh(t)
-    modulus = np.sqrt((a + r * cos_psi * b) ** 2 + (r * sin_psi * b) ** 2)
-    return np.arccosh(np.maximum(modulus, 1.0))
-
-
-def translate(params: JacobiParams, f, s, t, quad: QuadratureSpec = DEFAULT_QUAD,
-              n_r=32, n_psi=32):
+def translate(params: JacobiParams, f, s, t, n_r=32, n_psi=32):
     """Generalized translation (tau_s f)(t).
 
     f is a GridFunction or an even callable vectorized over arrays.  For a
@@ -109,34 +102,58 @@ def translate(params: JacobiParams, f, s, t, quad: QuadratureSpec = DEFAULT_QUAD
         raise DomainError(
             f"translate: |s|+|t|={abs(s) + abs(t):.6g} exceeds tmax={tmax}"
         )
+    return complex(_translate_batch(params, f, [s], [t], n_r, n_psi)[0, 0])
+
+
+def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
+    """tau_s f(t) for every s in s_array and t in t_array: an |s| x |t| matrix.
+
+    The kernel arguments of all (s, t) pairs are passed to f in chunks of
+    whole pairs, at most _CHUNK arguments each (or one pair, if that is
+    larger), so f is called once per chunk and the temporaries stay small.
+    Each pair's kernel values are reduced on their own by one pairwise sum,
+    so pairs that see identical values give identical results (a constant f
+    is an exact fixed point).
+    """
     r, cos_psi, sin_psi, w = _kernel_nodes(params.alpha, params.beta, n_r, n_psi)
-    args = _translate_arguments(r, cos_psi, sin_psi, abs(s), abs(t))
-    vals = np.asarray(f(args), dtype=complex)
-    return complex(np.sum(w * vals))
+    rc, rs = r * cos_psi, r * sin_psi
+    s = np.abs(np.asarray(s_array, dtype=float)).ravel()
+    t = np.abs(np.asarray(t_array, dtype=float)).ravel()
+    a = np.outer(np.cosh(s), np.cosh(t)).ravel()
+    b = np.outer(np.sinh(s), np.sinh(t)).ravel()
+    out = np.empty(a.size, dtype=complex)
+    step = max(1, _CHUNK // w.size)
+    for lo in range(0, a.size, step):
+        ak = a[lo:lo + step, None]
+        bk = b[lo:lo + step, None]
+        # arccosh |a + r e^{i psi} b|, in place: the chunk's temporaries
+        # set the peak memory of a convolution
+        x = ak + rc * bk
+        x *= x
+        x += np.square(rs * bk)
+        args = np.arccosh(np.maximum(np.sqrt(x, out=x), 1.0, out=x), out=x)
+        vals = np.asarray(f(args.ravel()), dtype=complex).reshape(args.shape)
+        out[lo:lo + step] = np.sum(vals * w, axis=-1)
+    return out.reshape(s.size, t.size)
 
 
-def _translate_batch(params, f, s_array, t, n_r=32, n_psi=32):
-    """tau_s f(t) over an array of s values (shared node set)."""
-    r, cos_psi, sin_psi, w = _kernel_nodes(params.alpha, params.beta, n_r, n_psi)
-    s_array = np.abs(np.asarray(s_array, dtype=float))
-    a = np.cosh(s_array)[:, None] * np.cosh(t)
-    b = np.sinh(s_array)[:, None] * np.sinh(t)
-    modulus = np.sqrt(
-        (a + r[None, :] * cos_psi[None, :] * b) ** 2
-        + (r[None, :] * sin_psi[None, :] * b) ** 2
-    )
-    args = np.arccosh(np.maximum(modulus, 1.0))
-    vals = np.asarray(f(args.ravel()), dtype=complex).reshape(args.shape)
-    return vals @ w
+def _s_integral(weights, tau):
+    """2 sum_s weights(s) tau[s, :], column by column in the same order.
+
+    Equal columns of tau give equal results, which a BLAS product does not
+    promise; that keeps constants exact fixed points of convolution.
+    """
+    return 2.0 * np.sum(weights[:, None] * tau, axis=0)
 
 
-def convolve(params: JacobiParams, f: GridFunction, g: GridFunction,
-             quad: QuadratureSpec = DEFAULT_QUAD, out_n=None,
+def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
              n_r=32, n_psi=32, s_order=10, s_segments=None):
     """(f * g)(t) = int tau_s f(t) g(s) Delta(s) ds on the certified subgrid.
 
     Output is a GridFunction on [0, f.tmax - g.tmax] carrying valid_tmax
     (domain-shrinking convention: no extrapolation of f beyond its grid).
+    tau_s f(t) is taken for all s nodes and output t in one batched call
+    (composite Gauss in s, s_segments segments of order s_order).
     """
     out_tmax = f.tmax - g.tmax
     if out_tmax <= 0:
@@ -151,17 +168,18 @@ def convolve(params: JacobiParams, f: GridFunction, g: GridFunction,
     s_nodes, s_weights = composite_gauss_nodes(edges, s_order)
     gs = np.asarray(g(s_nodes), dtype=complex) * weight_delta(params, s_nodes)
     out_ts = np.linspace(0.0, out_tmax, out_n)
-    out_vals = np.empty(out_n, dtype=complex)
-    for k, t in enumerate(out_ts):
-        tau = _translate_batch(params, f, s_nodes, t, n_r, n_psi)
-        out_vals[k] = 2.0 * np.sum(s_weights * gs * tau)
+    tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
+    out_vals = _s_integral(s_weights * gs, tau)
     return GridFunction(out_tmax, out_vals, f.interpolation, valid_tmax=out_tmax)
 
 
 def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
-                     quad: QuadratureSpec = DEFAULT_QUAD, out_n=None,
-                     n_r=32, n_psi=32):
-    """(f * mu)(t) = int tau_s f(t) d mu(s) on the shrunken certified domain."""
+                     out_n=None, n_r=32, n_psi=32):
+    """(f * mu)(t) = int tau_s f(t) d mu(s) on the shrunken certified domain.
+
+    All atoms go through one batched translation call, weighted by w_j
+    atom by atom; a density goes through one more call over its s nodes.
+    """
     reach = mu.reach
     out_tmax = f.tmax - reach
     if out_tmax <= 0:
@@ -175,9 +193,11 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
     out_vals = np.zeros(out_n, dtype=complex)
     if mu.atom0 != 0:
         out_vals += mu.atom0 * np.asarray(f(out_ts), dtype=complex)
-    for t_j, w_j in mu.atoms:
-        for k, t in enumerate(out_ts):
-            out_vals[k] += w_j * translate(params, f, t_j, t, quad, n_r, n_psi)
+    if mu.atoms:
+        positions = [t_j for t_j, _ in mu.atoms]
+        tau = _translate_batch(params, f, positions, out_ts, n_r, n_psi)
+        for (_, w_j), row in zip(mu.atoms, tau):
+            out_vals += w_j * row
     if mu.density is not None:
         s_segments = max(8, int(np.ceil(mu.density.tmax * 4)))
         edges = np.linspace(0.0, mu.density.tmax, s_segments + 1)
@@ -185,9 +205,8 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
         dens = np.asarray(mu.density(s_nodes), dtype=complex)
         if mu.density_measure == "delta-weighted":
             dens = dens * weight_delta(params, s_nodes)
-        for k, t in enumerate(out_ts):
-            tau = _translate_batch(params, f, s_nodes, t, n_r, n_psi)
-            out_vals[k] += 2.0 * np.sum(s_weights * dens * tau)
+        tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
+        out_vals += _s_integral(s_weights * dens, tau)
     return GridFunction(out_tmax, out_vals, f.interpolation, valid_tmax=out_tmax)
 
 

@@ -96,6 +96,35 @@ class TestIterateAndReport:
         json.loads(a.to_json())
 
 
+REGIMES = [
+    JacobiParams(2.3, 0.7),   # alpha > beta > -1/2
+    JacobiParams(1.2, 1.2),   # alpha = beta
+    JacobiParams(1.5, -0.5),  # beta = -1/2
+]
+
+
+class TestConstantsAreFixedPoints:
+    # every output point reduces identical kernel values in the same order,
+    # so a constant stays exactly constant, not just to rounding
+    @pytest.mark.parametrize("params", REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
+    @pytest.mark.parametrize("kind", ["pair", "density"])
+    def test_flatness_exactly_zero(self, params, kind):
+        if kind == "pair":
+            # many output t per kernel chunk, where a BLAS row reduction is not exact
+            f = GridFunction(4.0, np.full(1025, 2.5 + 0j))
+            mu = EvenMeasure(atoms=[(1.0, 1.0)])
+        else:
+            f = GridFunction(4.0, np.full(65, 2.5 + 0j))
+            mu = EvenMeasure(atom0=0.2, atoms=[(0.3, 0.5), (0.6, 0.3)],
+                             density=GridFunction(0.3, np.linspace(1.0, 0.2, 17)))
+        step = harmonic_step(params, f, mu)
+        assert np.ptp(step.values.real) == 0.0
+        assert np.ptp(step.values.imag) == 0.0
+        rep = iterate_and_report(params, f, mu, 3)
+        assert [s["flatness"] for s in rep.steps] == [0.0, 0.0, 0.0, 0.0]
+        assert rep.flatness_nondecreasing
+
+
 class TestMuConditions:
     def test_probability_pair_measure(self, params, pair_measure):
         grid = StripScanGrid(re_max=3.0, re_n=9, im_margin=0.05, im_n=5)

@@ -1,7 +1,11 @@
 """Grid functions, even measures, and their file formats."""
 
+import cmath
+import warnings
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from fourierjacobi import (
     DomainError,
@@ -29,6 +33,34 @@ class TestGridFunction:
         cub = GridFunction(3.0, vals, "cubic")
         for t in lin.ts[::8]:
             assert lin(t) == pytest.approx(cub(t), abs=1e-12)
+
+    def test_cubic_matches_scipy_spline(self):
+        # Horner on the uniform grid against scipy's own CubicSpline
+        tmax, n = 3.0, 41
+        ts = np.linspace(0.0, tmax, n)
+        vals = (1.0 + 0.5 * np.cos(ts)) + 1j * (2.0 + np.sin(3.0 * ts))
+        f = GridFunction(tmax, vals)
+        spline = CubicSpline(ts, vals)
+        rng = np.random.default_rng(5)
+        t = np.concatenate([
+            [0.0, tmax, tmax * (1.0 + 0.5e-9), -0.7, -tmax],
+            ts, -ts[::3], rng.uniform(0.0, tmax, 500),
+        ])
+        want = spline(np.minimum(np.abs(t), tmax))
+        assert np.max(np.abs(f(t) - want) / np.abs(want)) <= 1e-14
+        got = f(1.234)
+        assert type(got) is complex
+        assert abs(got - spline(1.234)) <= 1e-14 * abs(got)
+
+    def test_nan_gives_nan(self):
+        f = gaussian_bump(4.0, 129)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cmath.isnan(f(np.nan))
+            t = np.array([0.5, np.nan, 3.9, np.nan])
+            out = f(t)
+        assert np.isnan(out[[1, 3]]).all()
+        assert np.array_equal(out[[0, 2]], f(t[[0, 2]]))
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fourierjacobi import translation
 from fourierjacobi import (
     DomainError,
     EvenMeasure,
@@ -10,6 +11,7 @@ from fourierjacobi import (
     convolve,
     convolve_measure,
     forward_transform,
+    forward_transform_measure,
     gaussian_bump,
     kernel_mass,
     l1_norm,
@@ -62,6 +64,33 @@ def test_translate_domain_guard(standard_params):
         translate(standard_params, f, 2.0, 1.5)
 
 
+class TestBatchedKernel:
+    @pytest.mark.parametrize("params", REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
+    @pytest.mark.parametrize("kind", ["grid", "callable"])
+    def test_matches_scalar_translate(self, params, kind, monkeypatch):
+        # chunks of 2.5 kernels split the 30 (s, t) pairs unevenly
+        nodes = translation._kernel_nodes(params.alpha, params.beta)[3].size
+        monkeypatch.setattr(translation, "_CHUNK", int(2.5 * nodes))
+        if kind == "grid":
+            f = gaussian_bump(4.0, 129, width=0.9, center=0.5)
+        else:
+            def f(u):
+                return np.exp(-u**2) * (1.0 + 0.3j * np.cos(u))
+        s = np.linspace(0.0, 2.5, 6)
+        t = np.linspace(0.0, 1.5, 5)  # s + t reaches tmax = 4 at the corner
+        tau = translation._translate_batch(params, f, s, t)
+        assert tau.shape == (s.size, t.size)
+        r, cos_psi, sin_psi, w = translation._kernel_nodes(params.alpha, params.beta)
+        for i, si in enumerate(s):
+            for j, tj in enumerate(t):
+                # the per-pair kernel sum, written out as the reference
+                a, b = np.cosh(si) * np.cosh(tj), np.sinh(si) * np.sinh(tj)
+                modulus = np.hypot(a + r * cos_psi * b, r * sin_psi * b)
+                want = np.sum(w * f(np.arccosh(np.maximum(modulus, 1.0))))
+                assert abs(tau[i, j] - want) <= 1e-13 * abs(want)
+                assert abs(translate(params, f, si, tj) - want) <= 1e-13 * abs(want)
+
+
 class TestConvolve:
     def test_convolution_theorem(self, standard_params):
         p = standard_params
@@ -111,6 +140,19 @@ class TestConvolveMeasure:
             want = forward_transform(p, f, lam) * (
                 0.3 + 0.7 * complex(phi(p, lam, 1.2))
             )
+            assert forward_transform(p, out, lam) == pytest.approx(want, rel=2e-4)
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "delta-weighted"])
+    def test_density_multiplier(self, standard_params, measure):
+        # (f * mu)^ = fhat * muhat for a measure with atoms and a density
+        p = standard_params
+        f = gaussian_bump(5.0, 257, width=0.9)
+        density = gaussian_bump(0.8, 33, width=0.4)
+        mu = EvenMeasure(atom0=0.2, atoms=[(0.5, 0.3)], density=density,
+                         density_measure=measure)
+        out = convolve_measure(p, f, mu)
+        for lam in (0.6, 1.8):
+            want = forward_transform(p, f, lam) * forward_transform_measure(p, mu, lam)
             assert forward_transform(p, out, lam) == pytest.approx(want, rel=2e-4)
 
     def test_reach_exhausts_domain(self, standard_params):
