@@ -7,13 +7,8 @@ and the connection formula phi = c(lam) Phi_lam + c(-lam) Phi_{-lam}.
 
 import numpy as np
 
-from fourierjacobi import (
-    JacobiParams,
-    c_function,
-    phi,
-    phi_second_kind,
-    phi_second_kind_sinh_form,
-)
+from fourierjacobi import JacobiParams, c_function, phi, phi_second_kind
+from fourierjacobi.core import phi_second_kind_sinh_form
 
 p = JacobiParams(0.5, -0.5)
 print(f"params (alpha, beta) = (0.5, -0.5), rho = {p.rho}")

@@ -9,7 +9,6 @@ evidence that span{b_lambda} approximates L^1 targets.
 import numpy as np
 
 from fourierjacobi import (
-    DEFAULT_QUAD,
     JacobiParams,
     StripScanGrid,
     delta_inf_plus,
@@ -33,7 +32,7 @@ print(f"delta_irho on exp(-1/(rho-x)): {est2:.9f} (exact value -1)")
 
 p = JacobiParams(0.5, -0.5)
 bump = gaussian_bump(8.0, 513, width=0.5)
-f0 = l10_projection(p, DEFAULT_QUAD)  # mean-zero: transform vanishes at +-i rho
+f0 = l10_projection(p)  # mean-zero: transform vanishes at +-i rho
 grid = StripScanGrid(re_max=3.0, re_n=13, im_margin=0.02, im_n=7)
 
 scan1 = scan_common_zeros(p, [lambda l: forward_transform(p, f0, l)], grid, 1e-4)

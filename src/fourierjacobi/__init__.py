@@ -10,7 +10,6 @@ tying them together.
 
 from .core import (
     JacobiParams,
-    SpectralPoint,
     apply_L,
     apply_cherednik_T,
     c_function,
@@ -18,9 +17,7 @@ from .core import (
     in_strip,
     phi,
     phi_dx_at_rho,
-    phi_dx_at_rho_closed_form,
     phi_second_kind,
-    phi_second_kind_sinh_form,
     strip_region,
     weight_delta,
 )
@@ -31,13 +28,7 @@ from .furstenberg import (
     harmonic_step,
     iterate_and_report,
 )
-from .grid import (
-    DEFAULT_QUAD,
-    EvenMeasure,
-    GridFunction,
-    QuadratureSpec,
-    gaussian_bump,
-)
+from .grid import EvenMeasure, GridFunction, gaussian_bump
 from .resolvent import (
     TLambdaOperator,
     b_hat,
@@ -82,7 +73,6 @@ from .translation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUAD",
     "DomainError",
     "EvenMeasure",
     "FourierJacobiError",
@@ -90,9 +80,7 @@ __all__ = [
     "HarmonicIterationReport",
     "JacobiParams",
     "PrecisionError",
-    "QuadratureSpec",
     "RunConfig",
-    "SpectralPoint",
     "StripScanGrid",
     "TLambdaOperator",
     "apply_L",
@@ -123,9 +111,7 @@ __all__ = [
     "l1_norm",
     "phi",
     "phi_dx_at_rho",
-    "phi_dx_at_rho_closed_form",
     "phi_second_kind",
-    "phi_second_kind_sinh_form",
     "plancherel_density",
     "report_to_json",
     "resolvent_transform",

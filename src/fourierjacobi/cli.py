@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .core import (
     JacobiParams,
     c_function,
@@ -25,7 +23,7 @@ from .errors import DomainError, FourierJacobiError, PrecisionError
 from .grid import EvenMeasure, GridFunction, gaussian_bump
 from .furstenberg import iterate_and_report
 from .resolvent import b_lambda
-from .suites import RunConfig, run_suite
+from .suites import SUITES, RunConfig, run_suite
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -53,8 +51,6 @@ def _add_common(parser):
     parser.add_argument("--beta", type=float, default=-0.5)
     parser.add_argument("--tmax", type=float, default=8.0)
     parser.add_argument("--n", type=int, default=1025)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--quad", choices=("simpson", "gauss"), default="gauss")
     parser.add_argument("--lambda", dest="lam", type=str, default="2")
     parser.add_argument("--t", type=str, default="1")
     parser.add_argument("--out", choices=("csv", "json"), default="csv")
@@ -73,21 +69,11 @@ def build_parser():
         "kind", choices=("phi", "Phi", "G", "c", "delta-weight", "b")
     )
     _add_common(p_eval)
+    p_eval.add_argument("--tol", type=float, default=1e-10,
+                        help="tolerance handed to the kernel")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument(
-        "suite",
-        choices=(
-            "lemma31",
-            "wronskian",
-            "product-formula",
-            "strict-bound",
-            "derivative-positivity",
-            "tlambda",
-            "resolvent-glue",
-            "riemann-lebesgue",
-        ),
-    )
+    p_verify.add_argument("suite", choices=sorted(SUITES))
     _add_common(p_verify)
 
     p_furst = sub.add_parser(
@@ -149,9 +135,6 @@ def _config_from(args):
         beta=args.beta,
         tmax=args.tmax,
         n=args.n,
-        tol=args.tol,
-        quad=args.quad,
-        out=args.out,
         seed=args.seed,
     )
 
@@ -176,16 +159,13 @@ def _cmd_furstenberg(args):
     else:
         f = gaussian_bump(args.tmax, args.n, width=1.0, center=1.0)
     probes = _parse_t_list(args.probes)
-    report = iterate_and_report(
-        params, f, mu, args.steps, probes, _config_from(args).quad_spec()
-    )
+    report = iterate_and_report(params, f, mu, args.steps, probes)
     print(report.to_json())
     return EXIT_OK
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    np.random.seed(args.seed % 2**32)  # legacy consumers; suites use default_rng
     handlers = {
         "eval": _cmd_eval,
         "verify": _cmd_verify,

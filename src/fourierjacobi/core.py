@@ -65,16 +65,6 @@ def strip_region(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL) -> str:
     return "interior" if gap < 0 else "exterior"
 
 
-@dataclass(frozen=True)
-class SpectralPoint:
-    """A complex spectral parameter with strip classification."""
-
-    value: complex
-
-    def region(self, params: JacobiParams, tie_tol=STRIP_TIE_TOL) -> str:
-        return strip_region(params, self.value, tie_tol)
-
-
 def in_strip(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL) -> bool:
     return strip_region(params, lam, tie_tol) != "exterior"
 
@@ -208,12 +198,6 @@ def _coefficient(params: JacobiParams, t):
     ) * np.tanh(t)
 
 
-def _as_callable(f):
-    if callable(f):
-        return f
-    raise TypeError("expected a callable or GridFunction-like object")
-
-
 _FD_H = 1e-3
 # 5-point central stencils
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
@@ -231,14 +215,13 @@ def apply_L(params: JacobiParams, f, t, h=_FD_H):
     f may be a GridFunction or any callable defined near t.  Refuses t
     within 2h of the origin (coth singularity) or outside the grid.
     """
-    func = f if callable(f) else _as_callable(f)
     t = float(t)
     if t < 2.0 * h:
         raise DomainError(f"apply_L: t={t} too close to the coth singularity at 0")
     tmax = getattr(f, "tmax", None)
     if tmax is not None and t + 2.0 * h > tmax:
         raise DomainError(f"apply_L: t={t} within 2h of the grid edge")
-    v = _stencil_values(func, t, h)
+    v = _stencil_values(f, t, h)
     d1 = np.dot(_D1, v) / h
     d2 = np.dot(_D2, v) / h**2
     return d2 + _coefficient(params, t) * d1
@@ -250,17 +233,16 @@ def apply_cherednik_T(params: JacobiParams, f, t, h=_FD_H):
     T f(t) = f'(t) + coeff(t) (f(t)-f(-t))/2 - rho f(-t); f must be defined
     on both signs of t (callable, or an even GridFunction).
     """
-    func = f if callable(f) else _as_callable(f)
     t = float(t)
     if abs(t) < 2.0 * h:
         raise DomainError(f"apply_cherednik_T: |t|={abs(t)} too close to 0")
     tmax = getattr(f, "tmax", None)
     if tmax is not None and abs(t) + 2.0 * h > tmax:
         raise DomainError("apply_cherednik_T: t within 2h of the grid edge")
-    v = _stencil_values(func, t, h)
+    v = _stencil_values(f, t, h)
     d1 = np.dot(_D1, v) / h
-    ft = complex(func(t))
-    fmt = complex(func(-t))
+    ft = complex(f(t))
+    fmt = complex(f(-t))
     return d1 + _coefficient(params, t) * 0.5 * (ft - fmt) - params.rho * fmt
 
 

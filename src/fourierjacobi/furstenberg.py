@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import JacobiParams
 from .errors import DomainError
-from .grid import DEFAULT_QUAD, EvenMeasure, GridFunction, QuadratureSpec
+from .grid import EvenMeasure, GridFunction
 from .tauberian import StripScanGrid
 from .transform import forward_transform_measure
 from .translation import convolve_measure
@@ -60,8 +60,7 @@ class HarmonicIterationReport:
 
 
 def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
-                       n: int, probes=(), quad: QuadratureSpec = DEFAULT_QUAD
-                       ) -> HarmonicIterationReport:
+                       n: int, probes=()) -> HarmonicIterationReport:
     """Iterate f -> f * mu for n steps and report flatness per step.
 
     probes are real spectral points lambda; for each the report carries
@@ -86,7 +85,7 @@ def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
             {"step": k, "valid_tmax": cur.tmax, "flatness": flats[-1]}
         )
     for lam in probes:
-        mh = forward_transform_measure(params, mu, complex(lam), quad)
+        mh = forward_transform_measure(params, mu, complex(lam))
         report.probes.append(
             {
                 "lambda": float(np.real(lam)),
@@ -101,9 +100,7 @@ def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
 
 
 def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
-                        grid: StripScanGrid, x_sequence=None,
-                        quad: QuadratureSpec = DEFAULT_QUAD,
-                        irho_radius=0.25):
+                        grid: StripScanGrid, x_sequence=None, irho_radius=0.25):
     """Report on the spectral hypotheses of the fixed-point theorem.
 
     Checks mass, the atom at 0, the minimum of |muhat - 1| over the scan
@@ -111,11 +108,11 @@ def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
     probability measures), and the boundary indicator sequence
     (rho - x) log|1 - muhat(ix)|.
     """
-    mass = mu.total_mass(params, quad)
+    mass = mu.total_mass(params)
     offcenter = []
     flagged = []
     for lam in grid.points(params):
-        v = abs(forward_transform_measure(params, mu, lam, quad) - 1.0)
+        v = abs(forward_transform_measure(params, mu, lam) - 1.0)
         near_irho = min(abs(lam - 1j * params.rho), abs(lam + 1j * params.rho))
         if near_irho <= irho_radius:
             flagged.append({"re": lam.real, "im": lam.imag, "abs_muhat_minus_1": v})
@@ -127,7 +124,7 @@ def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
     xs = np.asarray(x_sequence, dtype=float)
     seq = []
     for x in xs:
-        mh = forward_transform_measure(params, mu, 1j * x, quad)
+        mh = forward_transform_measure(params, mu, 1j * x)
         with np.errstate(divide="ignore"):
             seq.append(float((params.rho - x) * np.log(abs(1.0 - mh))))
     return {

@@ -1,4 +1,4 @@
-"""Even grid functions, even measures, quadrature specs, and their file formats."""
+"""Even grid functions, even measures, and their file formats."""
 
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from .core import weight_delta
 from .errors import DomainError
+from .quadrature import integrate
 
 _INTERPOLATIONS = ("linear", "cubic")
 
@@ -76,8 +78,9 @@ class GridFunction:
             )
         t = np.minimum(t, self.tmax)
         if self.interpolation == "linear":
-            out = np.interp(t, self.ts, self.values.real) + 1j * np.interp(
-                t, self.ts, self.values.imag
+            ts = self.ts
+            out = np.interp(t, ts, self.values.real) + 1j * np.interp(
+                t, ts, self.values.imag
             )
         else:
             if self._coef is None:
@@ -136,29 +139,6 @@ def gaussian_bump(tmax, n=257, width=1.0, center=0.0, interpolation="cubic"):
     return GridFunction(float(tmax), vals.astype(complex), interpolation)
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Integration policy threaded through every integral."""
-
-    method: str = "gauss-legendre-composite"
-    abs_tol: float = 1e-10
-    max_subdivisions: int = 2000
-    tail_cutoff: float = 30.0
-
-    def __post_init__(self):
-        if self.method not in ("adaptive-simpson", "gauss-legendre-composite"):
-            raise DomainError(f"QuadratureSpec: unknown method {self.method!r}")
-        if self.abs_tol <= 0:
-            raise DomainError("QuadratureSpec: abs_tol must be positive")
-        if self.max_subdivisions < 1:
-            raise DomainError("QuadratureSpec: max_subdivisions must be >= 1")
-        if self.tail_cutoff <= 0:
-            raise DomainError("QuadratureSpec: tail_cutoff must be positive")
-
-
-DEFAULT_QUAD = QuadratureSpec()
-
-
 @dataclass
 class EvenMeasure:
     """Even complex measure: atom at 0, symmetric atom pairs, optional density.
@@ -195,14 +175,10 @@ class EvenMeasure:
             r = max(r, self.density.tmax)
         return r
 
-    def total_mass(self, params=None, quad=None):
+    def total_mass(self, params=None):
         """atom0 + sum of pair weights + density integral over R."""
         mass = self.atom0 + sum(w for _, w in self.atoms)
         if self.density is not None:
-            from .quadrature import integrate
-            from .core import weight_delta
-
-            quad = quad or DEFAULT_QUAD
             if self.density_measure == "delta-weighted":
                 if params is None:
                     raise DomainError(
@@ -212,12 +188,9 @@ class EvenMeasure:
                     lambda t: self.density(t) * weight_delta(params, t),
                     0.0,
                     self.density.tmax,
-                    quad,
                 )
             else:
-                mass += 2.0 * integrate(
-                    self.density, 0.0, self.density.tmax, quad
-                )
+                mass += 2.0 * integrate(self.density, 0.0, self.density.tmax)
         return mass
 
     # --- JSON format ---

@@ -1,4 +1,4 @@
-"""Quadrature engines: composite Gauss-Legendre, adaptive Simpson, graded meshes.
+"""Quadrature engines: composite Gauss-Legendre and graded meshes.
 
 All integrands are expected to be vectorized over a numpy array of nodes and
 may return complex values.
@@ -11,7 +11,9 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PrecisionError
-from .grid import DEFAULT_QUAD, QuadratureSpec
+
+ABS_TOL = 1e-10  # target of every decay_cutoff truncation
+TAIL_CUTOFF = 30.0  # scale of the caps on decay_cutoff (times 4 or 8)
 
 
 @lru_cache(maxsize=64)
@@ -49,44 +51,11 @@ def composite_gauss_nodes(edges, order=10):
     return nodes, weights
 
 
-def adaptive_simpson(func, a, b, tol=1e-10, max_depth=40):
-    """Adaptive Simpson on a complex-valued vectorized integrand."""
-
-    def eval1(t):
-        return complex(np.asarray(func(np.array([t])), dtype=complex)[0])
-
-    def recurse(x0, x2, f0, f1, f2, whole, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = 0.5 * (x0 + x1)
-        rm = 0.5 * (x1 + x2)
-        flm = eval1(lm)
-        frm = eval1(rm)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * flm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * frm + f2)
-        if depth <= 0:
-            raise PrecisionError("adaptive_simpson: max depth exceeded")
-        if abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, x1, f0, flm, f1, left, depth - 1) + recurse(
-            x1, x2, f1, frm, f2, right, depth - 1
-        )
-
+def integrate(func, a, b):
+    """Composite Gauss over [a, b]: 8 segments per unit, 16 to 2000, order 10."""
     if b <= a:
         return 0.0 + 0.0j
-    f0 = eval1(a)
-    f2 = eval1(b)
-    f1 = eval1(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (f0 + 4.0 * f1 + f2)
-    return recurse(a, b, f0, f1, f2, whole, max_depth)
-
-
-def integrate(func, a, b, spec: QuadratureSpec = DEFAULT_QUAD):
-    """Integrate per the spec's method over [a, b]."""
-    if b <= a:
-        return 0.0 + 0.0j
-    if spec.method == "adaptive-simpson":
-        return adaptive_simpson(func, a, b, spec.abs_tol, max_depth=60)
-    n_seg = min(max(16, int(np.ceil((b - a) * 8))), spec.max_subdivisions)
+    n_seg = min(max(16, int(np.ceil((b - a) * 8))), 2000)
     return composite_gauss(func, a, b, n_segments=n_seg, order=10)
 
 

@@ -14,14 +14,9 @@ from scipy.interpolate import CubicSpline
 
 from .core import JacobiParams, c_function, phi, phi_second_kind, weight_delta
 from .errors import DomainError
-from .grid import DEFAULT_QUAD, GridFunction, QuadratureSpec
-from .quadrature import decay_cutoff, singular_halfline_nodes
-from .transform import forward_transform, plancherel_density, spectral_nodes
-
-
-def singular_order(params: JacobiParams) -> str:
-    """Tag for the t -> 0 blow-up of b_lambda."""
-    return "log(1/t)" if params.alpha == 0 else "t^(-2*alpha)"
+from .grid import GridFunction
+from .quadrature import ABS_TOL, TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
+from .transform import forward_transform, inverse_transform
 
 
 def _require_upper(lam):
@@ -55,7 +50,7 @@ def _integrable(params: JacobiParams, lam):
     return complex(lam).imag > params.rho
 
 
-def b_hat(params: JacobiParams, lam, xi, quad: QuadratureSpec = DEFAULT_QUAD):
+def b_hat(params: JacobiParams, lam, xi):
     """Quadrature of 2 int_0^oo b_lambda phi_xi Delta; equals 1/(xi^2-lam^2).
 
     Needs Im lam > rho (L^1 membership) and xi in the strip.
@@ -69,7 +64,7 @@ def b_hat(params: JacobiParams, lam, xi, quad: QuadratureSpec = DEFAULT_QUAD):
     if abs(xi.imag) > params.rho * (1.0 + 1e-12):
         raise DomainError(f"b_hat: xi={xi} outside the strip")
     rate = lam.imag - abs(xi.imag)
-    cutoff = decay_cutoff(rate, quad.abs_tol, hi=quad.tail_cutoff * 4)
+    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 4)
     nodes, weights = singular_halfline_nodes(cutoff)
     vals = (
         b_lambda(params, lam, nodes)
@@ -86,7 +81,7 @@ def b_hat_exact(lam, xi):
     return 1.0 / (xi * xi - lam * lam)
 
 
-def b_l1_norm(params: JacobiParams, lam, quad: QuadratureSpec = DEFAULT_QUAD):
+def b_l1_norm(params: JacobiParams, lam):
     """Weighted L1 norm of b_lambda; finite iff Im lambda > rho."""
     lam = _require_upper(lam)
     if not _integrable(params, lam):
@@ -94,7 +89,7 @@ def b_l1_norm(params: JacobiParams, lam, quad: QuadratureSpec = DEFAULT_QUAD):
             f"b_l1_norm: not integrable (Im lambda = {lam.imag} <= rho)"
         )
     rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, quad.abs_tol, hi=quad.tail_cutoff * 8)
+    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 8)
     nodes, weights = singular_halfline_nodes(cutoff)
     vals = np.abs(b_lambda(params, lam, nodes)) * weight_delta(params, nodes)
     return float(2.0 * np.sum(weights * vals))
@@ -192,14 +187,12 @@ class TLambdaOperator:
         return complex(out[0]) if scalar else out
 
 
-def t_lambda(params: JacobiParams, f: GridFunction, lam, t,
-             quad: QuadratureSpec = DEFAULT_QUAD):
+def t_lambda(params: JacobiParams, f: GridFunction, lam, t):
     """Pointwise T_lambda f(t); build a TLambdaOperator for repeated use."""
     return TLambdaOperator(params, f, lam)(t)
 
 
-def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi,
-                 quad: QuadratureSpec = DEFAULT_QUAD):
+def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
     """Transform of T_lambda f at xi by direct singular-aware quadrature.
 
     Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).
@@ -215,22 +208,16 @@ def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi,
 
 
 def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,
-                        quad: QuadratureSpec = DEFAULT_QUAD,
                         lambda_max=30.0, n_segments=45, order=10):
     """(f * b_lambda)(t) for smooth f via the spectral route.
 
-    (1/4 pi) int fhat(xi) (xi^2-lam^2)^-1 phi_xi(t) |c(xi)|^-2 d xi; the
-    independent cross-check for the defining formula of T_lambda f.
+    (1/4 pi) int fhat(xi) (xi^2-lam^2)^-1 phi_xi(t) |c(xi)|^-2 d xi, taken by
+    inverse_transform; the independent cross-check for the defining formula
+    of T_lambda f.
     """
     lam = complex(lam)
-    nodes, weights = spectral_nodes(lambda_max, n_segments, order)
-    fh = np.array([forward_transform(params, f, complex(x), quad) for x in nodes])
-    dens = plancherel_density(params, nodes)
-    coef = weights * fh * dens / ((nodes**2 - lam * lam) * 4.0 * np.pi)
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t_arr = np.atleast_1d(t)
-    out = np.zeros(t_arr.shape, dtype=complex)
-    for ck, xk in zip(coef, nodes):
-        out += ck * phi(params, complex(xk), t_arr)
-    return complex(out[0]) if scalar else out
+
+    def fhat_over(xi):
+        return forward_transform(params, f, xi) / (xi * xi - lam * lam)
+
+    return inverse_transform(params, fhat_over, t, lambda_max, n_segments, order)

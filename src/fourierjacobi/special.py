@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_jacobi
@@ -97,28 +96,6 @@ def rgamma(z):
     if is_nonpositive_integer(z):
         return 0.0 + 0.0j
     return cmath.exp(-log_gamma(z))
-
-
-@dataclass(frozen=True)
-class HypergeometricArgs:
-    """Parameter bundle (a, b; c; z) of the Gauss hypergeometric function.
-
-    c must avoid {0, -1, -2, ...}; z is real and < 1 (the library never
-    touches the branch cut [1, oo)).
-    """
-
-    a: complex
-    b: complex
-    c: complex
-    z: float
-
-    def __post_init__(self):
-        if is_nonpositive_integer(self.c):
-            raise DomainError(f"2F1: c={self.c} is zero or a negative integer")
-        if not np.isreal(self.z) and abs(complex(self.z).imag) > 0:
-            raise DomainError("2F1: z must be real")
-        if float(np.real(self.z)) >= 1.0:
-            raise DomainError(f"2F1: z={self.z} lies on the cut [1, oo)")
 
 
 def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):

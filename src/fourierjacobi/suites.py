@@ -11,14 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    JacobiParams,
-    c_function,
-    phi,
-    phi_dx_at_rho,
-)
+from .core import JacobiParams, phi, phi_dx_at_rho
 from .errors import DomainError
-from .grid import EvenMeasure, GridFunction, QuadratureSpec, gaussian_bump
+from .grid import GridFunction, gaussian_bump
 from .resolvent import (
     TLambdaOperator,
     b_hat,
@@ -45,16 +40,7 @@ class RunConfig:
     beta: float = -0.5
     tmax: float = 8.0
     n: int = 1025
-    tol: float = 1e-10
-    quad: str = "gauss"
-    out: str = "json"
     seed: int = 0
-
-    def quad_spec(self) -> QuadratureSpec:
-        method = (
-            "adaptive-simpson" if self.quad == "simpson" else "gauss-legendre-composite"
-        )
-        return QuadratureSpec(method=method, abs_tol=self.tol)
 
     def params(self) -> JacobiParams:
         return JacobiParams(self.alpha, self.beta)
@@ -74,14 +60,13 @@ def _report(name, cases, tol):
 
 def suite_lemma31(config: RunConfig):
     """b_hat(lam, xi) against the closed form 1/(xi^2 - lambda^2)."""
-    quad = config.quad_spec()
     cases = []
     for a, b in STANDARD_PARAMS:
         p = JacobiParams(a, b)
         lams = [1j * (p.rho + 0.5), 2j * p.rho, 1.0 + 1j * (p.rho + 0.3)]
         for lam in lams:
             for xi in (0.0, 0.5, 1.0, 2.0, 5.0):
-                got = b_hat(p, lam, xi, quad)
+                got = b_hat(p, lam, xi)
                 want = b_hat_exact(lam, xi)
                 cases.append(
                     {
@@ -117,7 +102,6 @@ def suite_wronskian(config: RunConfig):
 def suite_product_formula(config: RunConfig, n_tuples=30):
     """tau_s phi_lam(t) = phi_lam(s) phi_lam(t) across all three regimes."""
     rng = np.random.default_rng(config.seed)
-    config.quad_spec()  # rejects --tol <= 0, though this suite integrates nothing
     cases = []
     for k in range(n_tuples):
         a, b = REGIME_PARAMS[k % 3]
@@ -185,7 +169,6 @@ def suite_derivative_positivity(config: RunConfig):
 
 def suite_tlambda(config: RunConfig):
     """Spectral identity of T_lambda f plus the two-formula agreement."""
-    quad = config.quad_spec()
     cases = []
     p = JacobiParams(2.3, 0.7)
     f = gaussian_bump(8.0, 2048, width=1.0, center=1.5)
@@ -195,8 +178,8 @@ def suite_tlambda(config: RunConfig):
         op = TLambdaOperator(p, f, lam)
         for xi in xis:
             xi = complex(xi)
-            got = t_lambda_hat(p, op, lam, xi, quad)
-            want = (op.fhat_lam - forward_transform(p, f, xi, quad)) / (
+            got = t_lambda_hat(p, op, lam, xi)
+            want = (op.fhat_lam - forward_transform(p, f, xi)) / (
                 xi * xi - lam * lam
             )
             cases.append(
@@ -211,7 +194,7 @@ def suite_tlambda(config: RunConfig):
     op = TLambdaOperator(p, f, lam)
     pts = np.array([0.5, 1.5, 3.0])
     direct = np.array([op(t) for t in pts])
-    conv = np.array([convolve_b_spectral(p, f, lam, t, quad) for t in pts])
+    conv = np.array([convolve_b_spectral(p, f, lam, t) for t in pts])
     defn = op.fhat_lam * b_lambda(p, lam, pts) - conv
     # normalize by |f * b| rather than |T f|: the latter is dominated near
     # t = 0 by the fhat(lam) b(t) term common to both formulas
@@ -221,33 +204,32 @@ def suite_tlambda(config: RunConfig):
     return rep
 
 
-def l10_projection(params: JacobiParams, quad, tmax=8.0, n=1025):
+def l10_projection(params: JacobiParams, tmax=8.0, n=1025):
     """A mean-zero (L^1_0) bump: difference of two bumps with matched mass."""
     h1 = gaussian_bump(tmax, n, width=0.8, center=1.0)
     h2 = gaussian_bump(tmax, n, width=0.8, center=2.5)
-    c = l10_defect(params, h1, quad) / l10_defect(params, h2, quad)
+    c = l10_defect(params, h1) / l10_defect(params, h2)
     return GridFunction(tmax, h1.values - c * h2.values)
 
 
 def suite_resolvent_glue(config: RunConfig):
     """Both resolvent branches reproduce -1/(lambda^2 + rho^2) for g = 1."""
-    quad = config.quad_spec()
     p = JacobiParams(0.5, -0.5)
 
     def g_one(t):
         return np.ones_like(np.asarray(t, dtype=float))
 
-    f = l10_projection(p, quad)
+    f = l10_projection(p)
     cases = []
     for lam in (2j, 3j, 0.7 + 2.2j):
-        got = resolvent_transform(p, g_one, None, lam, quad)
+        got = resolvent_transform(p, g_one, None, lam)
         want = -1.0 / (lam * lam + p.rho**2)
         cases.append(
             {"id": f"exterior:lam={lam:.3g}", "err": abs(got - want) / abs(want)}
         )
     interior_err = 0.0
     for lam in (0.8j, 0.4j, 0.3 + 0.5j):
-        got = resolvent_transform(p, g_one, f, lam, quad)
+        got = resolvent_transform(p, g_one, f, lam)
         want = -1.0 / (lam * lam + p.rho**2)
         err = abs(got - want) / abs(want)
         interior_err = max(interior_err, err)
@@ -260,7 +242,6 @@ def suite_resolvent_glue(config: RunConfig):
 
 def suite_riemann_lebesgue(config: RunConfig):
     """|fhat| strictly decreasing along increasing real lambda beyond 10."""
-    quad = config.quad_spec()
     # the bump is narrow enough that |fhat| stays above the quadrature
     # noise floor over the whole sequence
     lambdas = [10.0, 12.0, 14.0, 16.0]
@@ -268,7 +249,7 @@ def suite_riemann_lebesgue(config: RunConfig):
     for a, b in STANDARD_PARAMS:
         p = JacobiParams(a, b)
         f = gaussian_bump(config.tmax, config.n, width=0.5)
-        values, monotone = riemann_lebesgue_check(p, f, lambdas, quad)
+        values, monotone = riemann_lebesgue_check(p, f, lambdas)
         cases.append(
             {
                 "id": f"a={a},b={b}",

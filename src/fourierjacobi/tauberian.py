@@ -15,8 +15,7 @@ import numpy as np
 
 from .core import JacobiParams, weight_delta
 from .errors import DomainError, PrecisionError
-from .grid import DEFAULT_QUAD, GridFunction, QuadratureSpec
-from .quadrature import decay_cutoff, singular_halfline_nodes
+from .quadrature import ABS_TOL, TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .resolvent import TLambdaOperator, b_lambda
 
 
@@ -150,9 +149,9 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid,
     }
 
 
-def _pair_exterior(params, g, lam, quad):
+def _pair_exterior(params, g, lam):
     rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, quad.abs_tol, hi=quad.tail_cutoff * 8)
+    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 8)
     g_tmax = getattr(g, "tmax", None)
     if g_tmax is not None:
         cutoff = min(cutoff, g_tmax)
@@ -165,7 +164,7 @@ def _pair_exterior(params, g, lam, quad):
     return complex(2.0 * np.sum(weights * vals))
 
 
-def _pair_interior(params, g, f, lam, quad):
+def _pair_interior(params, g, f, lam):
     if f is None:
         raise DomainError(
             "resolvent_transform: interior branch needs the generator f"
@@ -182,8 +181,7 @@ def _pair_interior(params, g, f, lam, quad):
     return complex(2.0 * np.sum(weights * vals) / op.fhat_lam)
 
 
-def resolvent_transform(params: JacobiParams, g, f, lam,
-                        quad: QuadratureSpec = DEFAULT_QUAD):
+def resolvent_transform(params: JacobiParams, g, f, lam):
     """Two-branch resolvent transform <h, g> with h chosen by Im lambda.
 
     Exterior (Im lambda > rho): h = b_lambda, pairing 2 int b g Delta.
@@ -201,8 +199,8 @@ def resolvent_transform(params: JacobiParams, g, f, lam,
     if lam.imag <= 0:
         raise DomainError("resolvent_transform: requires Im lambda > 0")
     if region > 0:
-        return _pair_exterior(params, g, lam, quad)
-    return _pair_interior(params, g, f, lam, quad)
+        return _pair_exterior(params, g, lam)
+    return _pair_interior(params, g, f, lam)
 
 
 def cauchy_riemann_residual(func, lam, h=1e-4):
@@ -213,8 +211,7 @@ def cauchy_riemann_residual(func, lam, h=1e-4):
     return abs(dx + 1j * dy)
 
 
-def span_density_demo(params: JacobiParams, target, lambdas,
-                      quad: QuadratureSpec = DEFAULT_QUAD, cond_limit=1e12):
+def span_density_demo(params: JacobiParams, target, lambdas, cond_limit=1e12):
     """Weighted least-squares approximation of target by span{b_lambda_k}.
 
     lambdas must all satisfy Im lambda > rho; residuals are reported for
@@ -235,7 +232,7 @@ def span_density_demo(params: JacobiParams, target, lambdas,
     if any(x.imag <= params.rho for x in lambdas):
         raise DomainError("span_density_demo: all lambdas need Im lambda > rho")
     slowest = min(x.imag for x in lambdas) - params.rho
-    cutoff = max(float(tmax), decay_cutoff(slowest, quad.abs_tol, hi=quad.tail_cutoff * 4))
+    cutoff = max(float(tmax), decay_cutoff(slowest, ABS_TOL, hi=TAIL_CUTOFF * 4))
     nodes, weights = singular_halfline_nodes(cutoff)
     sqw = np.sqrt(weights * weight_delta(params, nodes))
     y = np.asarray(

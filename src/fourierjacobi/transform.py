@@ -6,11 +6,11 @@ import numpy as np
 
 from .core import JacobiParams, c_function, in_strip, phi, weight_delta
 from .errors import DomainError
-from .grid import DEFAULT_QUAD, EvenMeasure, GridFunction, QuadratureSpec
+from .grid import EvenMeasure
 from .quadrature import composite_gauss_nodes, integrate
 
 
-def forward_transform(params: JacobiParams, f, lam, quad: QuadratureSpec = DEFAULT_QUAD):
+def forward_transform(params: JacobiParams, f, lam):
     """fhat(lam) = 2 int_0^tmax f(t) phi_lam(t) Delta(t) dt.
 
     f is a GridFunction (numerically supported in [0, tmax]) or a callable
@@ -29,11 +29,10 @@ def forward_transform(params: JacobiParams, f, lam, quad: QuadratureSpec = DEFAU
     def integrand(t):
         return f(t) * phi(params, lam, t) * weight_delta(params, t)
 
-    return complex(2.0 * integrate(integrand, 0.0, tmax, quad))
+    return complex(2.0 * integrate(integrand, 0.0, tmax))
 
 
-def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam,
-                              quad: QuadratureSpec = DEFAULT_QUAD):
+def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
     """muhat(lam) = int phi_lam d mu: atoms plus density contribution.
 
     The density is integrated against its declared reference measure (the
@@ -52,7 +51,7 @@ def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam,
         else:
             def integrand(t):
                 return mu.density(t) * phi(params, lam, t)
-        total += 2.0 * integrate(integrand, 0.0, mu.density.tmax, quad)
+        total += 2.0 * integrate(integrand, 0.0, mu.density.tmax)
     return complex(total)
 
 
@@ -76,20 +75,20 @@ def spectral_nodes(lambda_max, n_segments=24, order=10):
     return composite_gauss_nodes(edges, order)
 
 
-def inverse_transform(params: JacobiParams, fhat, t, quad: QuadratureSpec = DEFAULT_QUAD,
-                      lambda_max=40.0, n_segments=None, order=10):
+def inverse_transform(params: JacobiParams, fhat, t, lambda_max=40.0,
+                      n_segments=None, order=10):
     """f(t) = (1/4 pi) int_0^lambda_max fhat(lam) phi_lam(t) |c(lam)|^-2 d lam.
 
     The integral is truncated at lambda_max and taken by Gauss-Legendre
     rules of the given order on n_segments equal segments (by default two
-    per unit of lambda_max, at least 16 and at most quad.max_subdivisions);
+    per unit of lambda_max, at least 16 and at most 2000);
     ``inversion_tail_estimate`` bounds what the truncation leaves out.
     fhat is a callable on real lam, called once on the whole node array,
     or node by node when it accepts only scalars.  t may be scalar or an
     array; all t share the node set.
     """
     if n_segments is None:
-        n_segments = min(max(16, int(lambda_max * 2)), quad.max_subdivisions)
+        n_segments = min(max(16, int(lambda_max * 2)), 2000)
     nodes, weights = spectral_nodes(lambda_max, n_segments, order)
     try:
         fh = np.asarray(fhat(nodes), dtype=complex)
@@ -118,8 +117,7 @@ def inversion_tail_estimate(params: JacobiParams, fhat, lambda_max, order=10):
     return float(np.sum(np.abs(weights * fh * dens)) / (4.0 * np.pi))
 
 
-def riemann_lebesgue_check(params: JacobiParams, f_or_mu, lambdas,
-                           quad: QuadratureSpec = DEFAULT_QUAD):
+def riemann_lebesgue_check(params: JacobiParams, f_or_mu, lambdas):
     """Decay report for |fhat(lam_k)| (or |muhat(lam_k) - mu({0})|).
 
     Returns (values, monotone_flag) where monotone_flag says the sequence
@@ -131,9 +129,9 @@ def riemann_lebesgue_check(params: JacobiParams, f_or_mu, lambdas,
     values = []
     for lam in lambdas:
         if isinstance(f_or_mu, EvenMeasure):
-            v = forward_transform_measure(params, f_or_mu, lam, quad)
+            v = forward_transform_measure(params, f_or_mu, lam)
             values.append(abs(v - f_or_mu.atom0))
         else:
-            values.append(abs(forward_transform(params, f_or_mu, lam, quad)))
+            values.append(abs(forward_transform(params, f_or_mu, lam)))
     monotone = all(b < a for a, b in zip(values, values[1:]))
     return values, monotone

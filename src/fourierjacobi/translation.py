@@ -17,7 +17,7 @@ from scipy.special import roots_jacobi
 
 from .core import JacobiParams, weight_delta
 from .errors import DomainError
-from .grid import DEFAULT_QUAD, EvenMeasure, GridFunction, QuadratureSpec
+from .grid import EvenMeasure, GridFunction
 from .quadrature import composite_gauss_nodes, integrate
 from .special import log_gamma
 
@@ -210,26 +210,20 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
     return GridFunction(out_tmax, out_vals, f.interpolation, valid_tmax=out_tmax)
 
 
-def l1_norm(params: JacobiParams, f, quad: QuadratureSpec = DEFAULT_QUAD):
+def l1_norm(params: JacobiParams, f):
     """Weighted L1 norm int |f| Delta over R."""
     tmax = getattr(f, "tmax", None)
     if tmax is None:
         raise DomainError("l1_norm: f must carry a support bound tmax")
-    return float(
-        np.real(
-            2.0
-            * integrate(
-                lambda t: np.abs(f(t)) * weight_delta(params, t), 0.0, tmax, quad
-            )
-        )
-    )
+    integral = integrate(lambda t: np.abs(f(t)) * weight_delta(params, t), 0.0, tmax)
+    return float(np.real(2.0 * integral))
 
 
-def l10_defect(params: JacobiParams, f, quad: QuadratureSpec = DEFAULT_QUAD):
+def l10_defect(params: JacobiParams, f):
     """int f Delta over R; zero exactly on the L^1_0 subclass (= fhat(i rho))."""
     tmax = getattr(f, "tmax", None)
     if tmax is None:
         raise DomainError("l10_defect: f must carry a support bound tmax")
     return complex(
-        2.0 * integrate(lambda t: f(t) * weight_delta(params, t), 0.0, tmax, quad)
+        2.0 * integrate(lambda t: f(t) * weight_delta(params, t), 0.0, tmax)
     )

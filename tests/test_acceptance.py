@@ -21,7 +21,7 @@ from fourierjacobi import (
     run_suite,
 )
 from fourierjacobi.core import apply_L, apply_cherednik_T, heckman_opdam_g
-from fourierjacobi.grid import DEFAULT_QUAD, EvenMeasure, GridFunction
+from fourierjacobi.grid import EvenMeasure, GridFunction
 from fourierjacobi.suites import STANDARD_PARAMS
 from fourierjacobi.tauberian import StripScanGrid, span_density_demo
 

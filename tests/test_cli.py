@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from fourierjacobi import EvenMeasure, gaussian_bump
-from fourierjacobi.cli import main
+from fourierjacobi.cli import build_parser, main
 from fourierjacobi.errors import PrecisionError
+from fourierjacobi.suites import SUITES
 
 
 def run_cli(capsys, argv):
@@ -101,6 +102,35 @@ class TestVerify:
         code, _, err = run_cli(capsys, ["verify", "lemma31"])
         assert code == 3
         assert json.loads(err)["code"] == 3
+
+
+class TestOptions:
+    """Each subcommand accepts only the flags it reads."""
+
+    def test_every_suite_is_a_verify_choice(self):
+        parser = build_parser()
+        for name in SUITES:
+            assert parser.parse_args(["verify", name]).suite == name
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "phi", "--quad", "gauss"],
+        ["verify", "lemma31", "--quad", "gauss"],
+        ["furstenberg", "--measure", "mu.json", "--quad", "gauss"],
+        ["verify", "lemma31", "--tol", "1e-12"],
+        ["furstenberg", "--measure", "mu.json", "--tol", "1e-12"],
+    ])
+    def test_unread_flag_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_eval_reads_tol(self, capsys):
+        code, out, _ = run_cli(
+            capsys, ["eval", "phi", "--lambda", "2", "--t", "1", "--tol", "1e-12"]
+        )
+        assert code == 0
+        assert out.strip().splitlines()[0] == "t,re,im"
 
 
 class TestFurstenberg:

@@ -10,14 +10,18 @@ from fourierjacobi import (
     c_function,
     phi,
     phi_dx_at_rho,
-    phi_dx_at_rho_closed_form,
     phi_second_kind,
-    phi_second_kind_sinh_form,
     strip_region,
     weight_delta,
 )
 from fourierjacobi import special
-from fourierjacobi.core import apply_L, apply_cherednik_T, heckman_opdam_g
+from fourierjacobi.core import (
+    apply_L,
+    apply_cherednik_T,
+    heckman_opdam_g,
+    phi_dx_at_rho_closed_form,
+    phi_second_kind_sinh_form,
+)
 
 def high_band_grid(seed=20170401, n_lam=5, n_t=8):
     """Seeded (params, lambda, ts): Re lambda in [20, 40], |Im lambda| <= 0.6 rho."""

@@ -12,7 +12,6 @@ from fourierjacobi import (
     EvenMeasure,
     GridFunction,
     JacobiParams,
-    QuadratureSpec,
     gaussian_bump,
 )
 
@@ -92,20 +91,6 @@ class TestGridFunction:
         path.write_text("\n".join(rows) + "\n")
         with pytest.raises(DomainError):
             GridFunction.from_csv(path)
-
-
-class TestQuadratureSpec:
-    def test_defaults_valid(self):
-        spec = QuadratureSpec()
-        assert spec.method == "gauss-legendre-composite"
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(method="monte-carlo")
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(DomainError):
-            QuadratureSpec(abs_tol=0.0)
 
 
 class TestEvenMeasure:

@@ -6,9 +6,7 @@ import numpy as np
 import pytest
 
 from fourierjacobi.errors import PrecisionError
-from fourierjacobi.grid import QuadratureSpec
 from fourierjacobi.quadrature import (
-    adaptive_simpson,
     composite_gauss,
     composite_gauss_nodes,
     decay_cutoff,
@@ -23,14 +21,8 @@ def test_composite_gauss_sine():
     assert got.real == pytest.approx(2.0, abs=1e-13)
 
 
-def test_adaptive_simpson_complex():
-    got = adaptive_simpson(lambda t: np.exp(1j * t), 0.0, np.pi / 2)
-    assert got == pytest.approx(1.0 + 1j, abs=1e-10)
-
-
 def test_integrate_dispatch():
-    spec = QuadratureSpec(method="adaptive-simpson", abs_tol=1e-10)
-    got = integrate(lambda t: t * t, 0.0, 3.0, spec)
+    got = integrate(lambda t: t * t, 0.0, 3.0)
     assert got.real == pytest.approx(9.0, abs=1e-8)
 
 

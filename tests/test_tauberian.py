@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from fourierjacobi import (
-    DEFAULT_QUAD,
     DomainError,
     JacobiParams,
     PrecisionError,
@@ -98,7 +97,7 @@ def scan_setup(rank_one):
 
 @pytest.fixture(scope="module")
 def glue_setup(rank_one):
-    return rank_one, l10_projection(rank_one, DEFAULT_QUAD)
+    return rank_one, l10_projection(rank_one)
 
 
 class TestScan:
@@ -112,7 +111,7 @@ class TestScan:
 
     def test_mean_zero_generator_flags_pm_irho(self, scan_setup):
         p, grid = scan_setup
-        f0 = l10_projection(p, DEFAULT_QUAD)
+        f0 = l10_projection(p)
         rep = scan_common_zeros(
             p, [lambda l: forward_transform(p, f0, l)], grid, 1e-4
         )
@@ -121,7 +120,7 @@ class TestScan:
 
     def test_joint_family_empties_hull(self, scan_setup):
         p, grid = scan_setup
-        f0 = l10_projection(p, DEFAULT_QUAD)
+        f0 = l10_projection(p)
         bump = gaussian_bump(8.0, 513, width=0.5)
         rep = scan_common_zeros(
             p,

@@ -105,7 +105,9 @@ class TestConvolve:
     def test_domain_shrinks(self, standard_params):
         f = gaussian_bump(8.0, 513)
         g = gaussian_bump(2.0, 129)
-        assert convolve(standard_params, f, g).tmax == pytest.approx(6.0)
+        out = convolve(standard_params, f, g, out_n=16)
+        assert out.tmax == pytest.approx(6.0)
+        assert out.valid_tmax == pytest.approx(6.0)
 
     def test_exhausted_domain_rejected(self, standard_params):
         f = gaussian_bump(2.0, 129)
