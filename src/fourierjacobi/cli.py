@@ -1,8 +1,8 @@
 """Batch command-line front door: eval, verify, furstenberg.
 
 Errors are mapped to exit codes (2 domain, 3 precision) with a one-line
-JSON diagnostic on stderr; all randomness flows from --seed, so identical
-invocations produce byte-identical output.
+JSON diagnostic on stderr; all randomness flows from verify's --seed, so
+identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -46,18 +46,18 @@ def _parse_t_list(text):
         raise DomainError(f"--t expects a comma-separated list, got {text!r}") from None
 
 
-def _add_common(parser):
+def _add_params(parser):
     parser.add_argument("--alpha", type=float, default=0.5)
     parser.add_argument("--beta", type=float, default=-0.5)
+
+
+def _add_grid(parser):
     parser.add_argument("--tmax", type=float, default=8.0)
     parser.add_argument("--n", type=int, default=1025)
-    parser.add_argument("--lambda", dest="lam", type=str, default="2")
-    parser.add_argument("--t", type=str, default="1")
-    parser.add_argument("--out", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=0)
 
 
 def build_parser():
+    """Each subcommand takes only the flags it reads."""
     parser = argparse.ArgumentParser(
         prog="fourierjacobi",
         description="Fourier-Jacobi harmonic analysis: evaluate, verify, iterate.",
@@ -68,18 +68,24 @@ def build_parser():
     p_eval.add_argument(
         "kind", choices=("phi", "Phi", "G", "c", "delta-weight", "b")
     )
-    _add_common(p_eval)
+    _add_params(p_eval)
+    p_eval.add_argument("--lambda", dest="lam", type=str, default="2")
+    p_eval.add_argument("--t", type=str, default="1")
+    p_eval.add_argument("--out", choices=("csv", "json"), default="csv")
     p_eval.add_argument("--tol", type=float, default=1e-10,
                         help="tolerance handed to the kernel")
 
     p_verify = sub.add_parser("verify", help="run a named verification suite")
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    _add_common(p_verify)
+    _add_params(p_verify)
+    _add_grid(p_verify)
+    p_verify.add_argument("--seed", type=int, default=0)
 
     p_furst = sub.add_parser(
         "furstenberg", help="iterate f -> f * mu and report flatness"
     )
-    _add_common(p_furst)
+    _add_params(p_furst)
+    _add_grid(p_furst)
     p_furst.add_argument("--measure", required=True, help="EvenMeasure JSON file")
     p_furst.add_argument("--steps", type=int, default=5)
     p_furst.add_argument("--f", default=None, help="initial GridFunction CSV")

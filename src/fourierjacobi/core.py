@@ -82,11 +82,8 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     """Jacobi function of the first kind; even in t and in lambda.
 
     phi_lam(t) = 2F1((rho - i lam)/2, (rho + i lam)/2; alpha + 1; -sinh^2 t).
-    Accepts scalar or array t.  ``gauss_2f1_array`` picks each point's
-    route: its series while |lam sinh t| roughly stays below ln(tol/eps),
-    else, for lam at distance >= 1 from iZ, the 1/(1-z) connection, which
-    here is the Harish-Chandra expansion c(lam) Phi_lam + c(-lam) Phi_-lam
-    with Phi from its cosh^-2 t series; mpmath is the last resort.
+    Accepts scalar or array t.  One ``gauss_2f1_array`` call; the route of
+    each point is chosen in ``special._routes``.
     """
     lam = complex(lam)
     t = np.asarray(t, dtype=float)
@@ -111,8 +108,7 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     logarithmic case at integer alpha) serves the points where
     ``series_safe`` certifies its series, that is while 2 sqrt|a b| tanh t
     stays below ln(tol/eps).  Every other point takes the cosh^-2 t form
-    through ``gauss_2f1_array``, which keeps its series where the
-    cancellation estimate is at most tol and otherwise uses mpmath.
+    through ``gauss_2f1_array`` (routes in ``special._routes``).
     """
     lam = complex(lam)
     if _forbidden_second_kind(lam):

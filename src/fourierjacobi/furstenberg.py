@@ -23,12 +23,11 @@ from .translation import convolve_measure
 
 def harmonic_step(params: JacobiParams, f: GridFunction,
                   mu: EvenMeasure) -> GridFunction:
-    """One convolution step f -> f * mu on the shrunken certified domain."""
-    if mu.reach >= f.tmax:
-        raise DomainError(
-            f"harmonic_step: measure reach {mu.reach} exhausts the domain "
-            f"(remaining {f.tmax})"
-        )
+    """One convolution step f -> f * mu on the shrunken certified domain.
+
+    Raises DomainError (from ``convolve_measure``) when the measure's reach
+    exhausts the domain of f.
+    """
     return convolve_measure(params, f, mu)
 
 

@@ -55,12 +55,6 @@ class GridFunction:
     def dt(self) -> float:
         return self.tmax / (self.n - 1)
 
-    @classmethod
-    def from_function(cls, func, tmax, n=257, interpolation="cubic"):
-        ts = np.linspace(0.0, float(tmax), int(n))
-        vals = np.asarray([func(t) for t in ts], dtype=complex)
-        return cls(float(tmax), vals, interpolation)
-
     def __call__(self, t):
         """Interpolate at t (scalar or array); a scalar gives a Python complex.
 

@@ -1,11 +1,11 @@
 """Complex Gauss hypergeometric function and complex log-gamma.
 
-Everything else in the library reduces to the primitives here: the
-Gauss series ``_series_2f1`` with its cancellation estimate, the routes
-built on it (``gauss_2f1`` for real argument z < 1 with complex
-parameters), and ``log_gamma`` on the cut plane.  A quadrature-based Euler-integral
-evaluation of the same hypergeometric function is provided as an
-independent cross-check.
+Everything else in the library reduces to the primitives here: the Gauss
+series ``_series_2f1`` with its cancellation estimate, the routes built on
+it behind ``gauss_2f1_array`` (real z < 1, complex parameters; each point's
+route is chosen by ``_routes``), the near-one expansion ``hyp2f1_near_one``
+and ``log_gamma`` on the cut plane.  The Euler integral
+``euler_integral_2f1`` is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -84,18 +84,6 @@ def _log_sin_pi(z):
     s = 1.0 if z.imag > 0 else -1.0
     w = cmath.pi * z
     return -s * 1j * w + cmath.log(1.0 - cmath.exp(s * 2j * w)) + cmath.log(s * 0.5j)
-
-
-def gamma(z):
-    """Gamma(z) through the Lanczos log-gamma."""
-    return cmath.exp(log_gamma(z))
-
-
-def rgamma(z):
-    """1/Gamma(z); returns 0 exactly at the poles of Gamma."""
-    if is_nonpositive_integer(z):
-        return 0.0 + 0.0j
-    return cmath.exp(-log_gamma(z))
 
 
 def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
@@ -211,23 +199,14 @@ def _pfaff_2f1(a, b, c, z, tol):
 def _invz_2f1(a, b, c, z, tol):
     """Two-term z -> 1/z connection for large negative z; needs a-b not integer.
 
-    Returns the values and the worse of the two series' cancellation
-    estimates.
+    Returns the values and the cancellation estimate of ``_connection``.
     """
     if _near_integer(a - b, 1e-8):
         raise PrecisionError(
             f"2F1: 1/z connection degenerate (a-b={a - b} near integer)"
         )
     z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.zeros(z.shape, dtype=complex)
-    cancel = np.zeros(z.shape)
-    for p, q in ((a, b), (b, a)):
-        coef = gamma_ratio((c, q - p), (q, c - p))
-        if coef != 0:
-            vals, est = _series_2f1(p, p - c + 1.0, p - q + 1.0, 1.0 / z, tol)
-            out += coef * _pow_real_base(-z, -p) * vals
-            cancel = np.maximum(cancel, est)
-    return out, cancel
+    return _connection(a, b, c, -z, 1.0 / z, (a - c + 1.0, b - c + 1.0), tol)
 
 
 def gamma_ratio(num, den):
@@ -249,90 +228,93 @@ def _conn_2f1(a, b, c, z, tol):
     with x = 1/(1-z); needs a-b away from the integers.  For phi_lam(t),
     z = -sinh^2 t, it is the Harish-Chandra expansion
     c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) with x = cosh^-2 t (Koornwinder
-    1984).  The estimate returned is the worse of the two series'.
+    1984).
     """
     z = np.asarray(z, dtype=float)
-    x = 1.0 / (1.0 - z)
-    out = np.zeros(z.shape, dtype=complex)
-    cancel = np.zeros(z.shape)
-    for p, q in ((a, b), (b, a)):
+    return _connection(a, b, c, 1.0 - z, 1.0 / (1.0 - z), (c - b, c - a), tol)
+
+
+def _connection(a, b, c, base, x, uppers, tol):
+    """Two-term connection sum over (p, q, r) = (a, b, uppers[0]), (b, a, uppers[1]):
+
+        G(c) G(q-p) / (G(q) G(c-p)) base^-p 2F1(p, r; p-q+1; x).
+
+    A term whose coefficient vanishes is skipped.  Returns the values and
+    the worse of the two series' cancellation estimates; the terms' own
+    cancellation against each other is not estimated.
+    """
+    out = np.zeros(x.shape, dtype=complex)
+    cancel = np.zeros(x.shape)
+    for (p, q), r in zip(((a, b), (b, a)), uppers):
         coef = gamma_ratio((c, q - p), (q, c - p))
         if coef != 0:
-            vals, est = _series_2f1(p, c - q, p - q + 1.0, x, tol)
-            out += coef * _pow_real_base(1.0 - z, -p) * vals
+            vals, est = _series_2f1(p, r, p - q + 1.0, x, tol)
+            out += coef * _pow_real_base(base, -p) * vals
             cancel = np.maximum(cancel, est)
     return out, cancel
 
 
-def _series_route(a, b, c, z, tol):
-    """Mask of the points of gauss_2f1_array whose series is certified before summing.
+# Routes of gauss_2f1_array, indexed by the codes of ``_routes``; each is
+# looked up by name at call time, so a replaced module attribute is seen.
+_ROUTES = ("_series_2f1", "_pfaff_2f1", "_invz_2f1", "_invz_degenerate", "_conn_2f1", "_mp_2f1")
+DIRECT, PFAFF, INVZ, DETOUR, CONN, MPMATH = range(len(_ROUTES))
 
-    The direct series serves z >= -0.5, the Pfaff series -4 < z < -0.5 and
-    the 1/z connection z <= -4 (the Pfaff series down to z = -19 when a-b
-    is integral), each while ``series_safe`` holds for every series it
-    sums (|a b z| on the direct route, |a (c-b) w| with w = z/(z-1) on the
-    Pfaff route, |a (a-c+1) / z| and |b (b-c+1) / z| on the 1/z route) or
-    the series' terms are all of one sign.  The direct series at z > 0
-    must also end within MAX_TERMS.
+
+def _routes(a, b, c, z, tol):
+    """Route code and ``certified`` flag per point of gauss_2f1_array.
+
+    The one place where routes are chosen, from (a, b, c, z, tol) before
+    any summing.  A point's home route is DIRECT, the power series, for
+    z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5,
+    and down to z = -19 when a-b is integral; below that INVZ, the two-term
+    1/z connection, or, when a-b is integral, DETOUR, that connection at
+    a +- 1e-4 and a +- 2e-4 Richardson-extrapolated (``_invz_degenerate``).
+    The point is certified when ``series_safe`` holds for every series its
+    home route sums (|a b z| direct; |a (c-b) w|, w = z/(z-1), Pfaff;
+    |a (a-c+1) / z| and |b (b-c+1) / z| 1/z and detour), or when the
+    series' terms are all of one sign (direct at z >= 0, Pfaff); the direct
+    series at z > 0 must also end within MAX_TERMS.  For phi this holds
+    roughly while |lam sinh t| < ln(tol/eps).
+
+    An uncertified point with z < 0 takes CONN, the 1/(1-z) connection
+    (DLMF 15.8.3; for phi the Harish-Chandra expansion
+    c(lam) Phi_lam + c(-lam) Phi_-lam), when a-b lies at distance >= 1 from
+    the integers and that series ends within MAX_TERMS.  Any other
+    uncertified point keeps its home route, except that the detour and a
+    direct series that would not end take MPMATH.  gauss_2f1_array keeps
+    certified sums and those whose cancellation estimate is at most tol,
+    and sends the rest to mpmath at 40 digits, the last resort.
     """
     z = np.asarray(z, dtype=float)
-    direct = (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0))) & (
-        (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
-    )
-    pfaff = series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c)
-    inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
-    invz = series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol)
-    if _near_integer(a - b, 1e-8):
-        invz = np.where(z >= -19.0, pfaff, invz)
-    return np.where(z >= -0.5, direct, np.where(z > -4.0, pfaff, invz))
-
-
-def _checked_2f1(a, b, c, z, tol):
-    """Values and cancellation estimates at the points _series_route leaves.
-
-    Points with z < 0 take the 1/(1-z) connection when a-b lies at
-    distance >= 1 from the integers; the others take their own route's
-    series: direct, Pfaff (down to z = -19 when a-b is integral) or 1/z.
-    A point whose series would not end within MAX_TERMS, or that needs the
-    Richardson detours, gets an infinite estimate without being summed.
-    """
-    out = np.zeros(z.shape, dtype=complex)
-    cancel = np.full(z.shape, np.inf)
     d = a - b
-    degenerate = _near_integer(d, 1e-8)
-    conn = (z < 0) & _series_fits(1.0 / (1.0 - z), c.real - 2.0, tol)
-    if abs(d - round(d.real)) < _CONN_POLE_GAP:
-        conn[:] = False
-    direct = ~conn & (z >= -0.5) & (
-        (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
+    integral = _near_integer(d, 1e-8)
+    pfaff_zone = (z > -4.0) | (integral & (z >= -19.0))
+    home = np.where(z >= -0.5, DIRECT, np.where(pfaff_zone, PFAFF, DETOUR if integral else INVZ))
+    ends = (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
+    inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
+    certified = np.where(
+        home == DIRECT,
+        (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0))) & ends,
+        np.where(
+            home == PFAFF,
+            series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c),
+            series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol),
+        ),
     )
-    pfaff = ~conn & (z < -0.5) & (z > (-19.0 if degenerate else -4.0))
-    invz = ~conn & (z <= -4.0) & (not degenerate)
-    for mask, route in (
-        (conn, _conn_2f1),
-        (direct, _series_2f1),
-        (pfaff, _pfaff_2f1),
-        (invz, _invz_2f1),
-    ):
-        if np.any(mask):
-            out[mask], cancel[mask] = route(a, b, c, z[mask], tol)
-    return out, cancel
+    conn = (abs(d - round(d.real)) >= _CONN_POLE_GAP) & (z < 0) & _series_fits(
+        1.0 / (1.0 - z), c.real - 2.0, tol
+    )
+    stuck = (home == DETOUR) | ((home == DIRECT) & ~ends)
+    route = np.where(certified, home, np.where(conn, CONN, np.where(stuck, MPMATH, home)))
+    return route, certified
 
 
 def gauss_2f1_array(a, b, c, z, tol=1e-12):
     """2F1(a, b; c; z) for fixed complex parameters over a real array z < 1.
 
-    Routes, chosen per point from (a, b, c, z, tol) before any summing:
-    the direct series for z >= -0.5, the Pfaff continuation on (-4, -0.5),
-    and the 1/z connection for z <= -4 (the Pfaff series up to z = -19 and
-    then Richardson-extrapolated detours when a-b is integral).  These are
-    taken only where ``_series_route`` says their cancellation stays below
-    tol, roughly while 2 sqrt|a b z| < ln(tol/eps) on the direct route.
-    The other points take the 1/(1-z) connection for z < 0 (for phi, the
-    Harish-Chandra expansion at large |lambda sinh t|), or their own
-    series when a-b lies within 1 of an integer, and keep the result where
-    its cancellation estimate is at most tol.  What is left goes to mpmath
-    at 40 digits, the last resort.
+    ``_routes`` gives each point its route, and each route runs once on all
+    of its points.  Certified sums are kept, and so is any other sum whose
+    cancellation estimate is at most tol; the rest go to mpmath.
     """
     a = complex(a)
     b = complex(b)
@@ -346,33 +328,15 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
     if a == 0 or b == 0:
         out[:] = 1.0
         return out
-    safe = _series_route(a, b, c, z, tol)
-    near = safe & (z >= -0.5)
-    mid = safe & (z < -0.5) & (z > -4.0)
-    far = safe & (z <= -4.0)
-    if np.any(near):
-        out[near] = _series_2f1(a, b, c, z[near], tol)[0]
-    if np.any(mid):
-        out[mid] = _pfaff_2f1(a, b, c, z[mid], tol)[0]
-    if np.any(far):
-        if _near_integer(a - b, 1e-8):
-            zf = z[far]
-            moderate = zf >= -19.0
-            res = np.empty(zf.shape, dtype=complex)
-            if np.any(moderate):
-                res[moderate] = _pfaff_2f1(a, b, c, zf[moderate], tol)[0]
-            if np.any(~moderate):
-                res[~moderate] = _invz_degenerate(a, b, c, zf[~moderate], tol)
-            out[far] = res
-        else:
-            out[far] = _invz_2f1(a, b, c, z[far], tol)[0]
-    left = np.flatnonzero(~safe)
-    if left.size:
-        vals, cancel = _checked_2f1(a, b, c, z[left], tol)
-        ok = cancel <= tol
-        out[left[ok]] = vals[ok]
-        if not np.all(ok):
-            out[left[~ok]] = _mp_2f1(a, b, c, z[left[~ok]])
+    route, certified = _routes(a, b, c, z, tol)
+    cancel = np.full(z.shape, np.inf)
+    for code in range(MPMATH):
+        at = route == code
+        if at.any():
+            out[at], cancel[at] = globals()[_ROUTES[code]](a, b, c, z[at], tol)
+    left = ~certified & ~(cancel <= tol)
+    if left.any():
+        out[left] = _mp_2f1(a, b, c, z[left])
     return out
 
 
@@ -381,7 +345,8 @@ def _invz_degenerate(a, b, c, z, tol, eps=1e-4):
 
     2F1 is analytic in a; symmetric +-eps averages kill the odd error terms
     and one Richardson step the eps^2 term, leaving ~1e-11 relative error
-    from the cancellation inside the detoured connection formulas.
+    from the cancellation inside the detoured connection formulas.  That
+    error is not estimated: the estimate returned is infinite.
     """
 
     def sym(h):
@@ -389,7 +354,7 @@ def _invz_degenerate(a, b, c, z, tol, eps=1e-4):
             _invz_2f1(a + h, b, c, z, tol)[0] + _invz_2f1(a - h, b, c, z, tol)[0]
         )
 
-    return (4.0 * sym(eps) - sym(2.0 * eps)) / 3.0
+    return (4.0 * sym(eps) - sym(2.0 * eps)) / 3.0, np.full(np.shape(z), np.inf)
 
 
 def gauss_2f1(a, b, c, z, tol=1e-12):
@@ -416,8 +381,8 @@ def hyp2f1_near_one(a, b, c, w, tol=1e-12):
         raise DomainError("hyp2f1_near_one: w must lie in (0, 1)")
     s = c - a - b
     if not _near_integer(s, 1e-9):
-        coef1 = gamma(c) * gamma(s) * rgamma(c - a) * rgamma(c - b)
-        coef2 = gamma(c) * gamma(-s) * rgamma(a) * rgamma(b)
+        coef1 = gamma_ratio((c, s), (c - a, c - b))
+        coef2 = gamma_ratio((c, -s), (a, b))
         t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
         t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
         return t1 + t2
@@ -448,7 +413,7 @@ def _hyp2f1_log_case(a, b, m, w, tol):
     out = np.zeros(w.shape, dtype=complex)
     # Finite part (empty when m == 0).
     if m > 0:
-        coef = gamma(float(m)) * gamma(c) * rgamma(a + m) * rgamma(b + m)
+        coef = gamma_ratio((float(m), c), (a + m, b + m))
         term = np.ones(w.shape, dtype=complex)
         acc = term.copy()
         for k in range(1, m):
@@ -456,7 +421,7 @@ def _hyp2f1_log_case(a, b, m, w, tol):
             acc += term
         out += coef * acc
     # Logarithmic series.
-    coef = -((-1.0) ** m) * gamma(c) * rgamma(a) * rgamma(b)
+    coef = -((-1.0) ** m) * gamma_ratio((c,), (a, b))
     pref = coef * w**m
     term = np.ones(w.shape, dtype=complex) / math.factorial(m)
     total = np.zeros(w.shape, dtype=complex)

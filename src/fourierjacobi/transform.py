@@ -43,7 +43,10 @@ def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
         raise DomainError(
             f"forward_transform_measure: lambda={lam} outside the strip"
         )
-    total = mu.atom0 + sum(w * phi(params, lam, t) for t, w in mu.atoms)
+    total = mu.atom0
+    if mu.atoms:
+        ts, ws = zip(*mu.atoms)
+        total += sum(w * v for w, v in zip(ws, phi(params, lam, np.array(ts))))
     if mu.density is not None:
         if mu.density_measure == "delta-weighted":
             def integrand(t):

@@ -75,8 +75,7 @@ class TestEval:
         assert "message" in json.loads(err)
 
     def test_deterministic_output(self, capsys):
-        argv = ["eval", "Phi", "--lambda", "1.3,0.4", "--t", "0.3,1,4",
-                "--seed", "7"]
+        argv = ["eval", "Phi", "--lambda", "1.3,0.4", "--t", "0.3,1,4"]
         _, out1, _ = run_cli(capsys, argv)
         _, out2, _ = run_cli(capsys, argv)
         assert out1 == out2
@@ -118,6 +117,9 @@ class TestOptions:
         ["furstenberg", "--measure", "mu.json", "--quad", "gauss"],
         ["verify", "lemma31", "--tol", "1e-12"],
         ["furstenberg", "--measure", "mu.json", "--tol", "1e-12"],
+        ["eval", "phi", "--seed", "7"],
+        ["verify", "lemma31", "--lambda", "2"],
+        ["furstenberg", "--measure", "mu.json", "--out", "json"],
     ])
     def test_unread_flag_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

@@ -190,6 +190,17 @@ class TestSecondKind:
                 want = mp_phi_second_kind(p, lam, t)
                 assert abs(g - want) <= 1e-10 * abs(want), (ab, t)
 
+    @pytest.mark.parametrize("ab", [(2.3, 0.7), (1.0, 0.0), (3.0, -0.5)])
+    def test_near_one_coefficients_do_not_underflow(self, ab):
+        # at t = 6/|lambda| the near-one expansion serves Phi; its Gamma
+        # coefficients, formed as products, underflowed past |lambda| ~ 470
+        p = JacobiParams(*ab)
+        for lam in (470.0, 500.0, 600.0, 800.0 + 0.3j, -500.0, 700.0 - 0.4j):
+            t = 6.0 / abs(lam)
+            want = mp_phi_second_kind(p, lam, t)
+            got = phi_second_kind(p, lam, t, tol=1e-12)
+            assert abs(got - want) <= 1e-10 * abs(want), lam
+
     def test_exponential_asymptotics(self, standard_params):
         lam = 1.1 + 0.4j
         t = 10.0
