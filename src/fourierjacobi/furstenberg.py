@@ -16,7 +16,7 @@ import numpy as np
 from .core import JacobiParams
 from .errors import DomainError
 from .grid import EvenMeasure, GridFunction
-from .tauberian import StripScanGrid
+from .tauberian import _IRHO_RADIUS, StripScanGrid
 from .transform import forward_transform_measure
 from .translation import convolve_measure
 
@@ -99,7 +99,7 @@ def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
 
 
 def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
-                        grid: StripScanGrid, x_sequence=None, irho_radius=0.25):
+                        grid: StripScanGrid, x_sequence=None):
     """Report on the spectral hypotheses of the fixed-point theorem.
 
     Checks mass, the atom at 0, the minimum of |muhat - 1| over the scan
@@ -113,7 +113,7 @@ def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
     for lam in grid.points(params):
         v = abs(forward_transform_measure(params, mu, lam) - 1.0)
         near_irho = min(abs(lam - 1j * params.rho), abs(lam + 1j * params.rho))
-        if near_irho <= irho_radius:
+        if near_irho <= _IRHO_RADIUS:
             flagged.append({"re": lam.real, "im": lam.imag, "abs_muhat_minus_1": v})
         else:
             offcenter.append(v)

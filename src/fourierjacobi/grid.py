@@ -14,21 +14,19 @@ from .core import weight_delta
 from .errors import DomainError
 from .quadrature import integrate
 
-_INTERPOLATIONS = ("linear", "cubic")
-
-
 @dataclass
 class GridFunction:
     """An even function represented by uniform samples on [0, tmax].
 
-    Evaluation at t < 0 uses |t|; evaluation beyond tmax is a DomainError.
+    Evaluated by the cubic spline through the samples (scipy's CubicSpline,
+    not-a-knot).  Evaluation at t < 0 uses |t|; evaluation beyond tmax is a
+    DomainError.
     ``valid_tmax`` is metadata carried by convolution outputs (the part of
     the grid certified under the domain-shrinking convention).
     """
 
     tmax: float
     values: np.ndarray
-    interpolation: str = "cubic"
     valid_tmax: float | None = None
 
     def __post_init__(self):
@@ -39,8 +37,6 @@ class GridFunction:
             raise DomainError("GridFunction: need >= 16 samples")
         if not np.all(np.isfinite(self.values)):
             raise DomainError("GridFunction: samples must be finite")
-        if self.interpolation not in _INTERPOLATIONS:
-            raise DomainError(f"GridFunction: unknown interpolation {self.interpolation!r}")
         self._coef = None
 
     @property
@@ -58,9 +54,9 @@ class GridFunction:
     def __call__(self, t):
         """Interpolate at t (scalar or array); a scalar gives a Python complex.
 
-        The cubic branch evaluates the CubicSpline pieces directly on the
-        uniform grid: piece k = floor(t / dt), capped at n - 2, by Horner in
-        u = t - k dt.  NaN gives NaN.
+        The CubicSpline pieces are evaluated directly on the uniform grid:
+        piece k = floor(t / dt), capped at n - 2, by Horner in u = t - k dt.
+        NaN gives NaN.
         """
         t = np.abs(np.asarray(t, dtype=float))
         scalar = t.ndim == 0
@@ -71,26 +67,20 @@ class GridFunction:
                 f"GridFunction: evaluation at t={float(np.max(t))} beyond tmax={self.tmax}"
             )
         t = np.minimum(t, self.tmax)
-        if self.interpolation == "linear":
-            ts = self.ts
-            out = np.interp(t, ts, self.values.real) + 1j * np.interp(
-                t, ts, self.values.imag
-            )
-        else:
-            if self._coef is None:
-                # piecewise coefficients, highest degree first: c0 u^3 + ... + c3
-                self._coef = [np.ascontiguousarray(c)
-                              for c in CubicSpline(self.ts, self.values).c]
-            c0, c1, c2, c3 = self._coef
-            dt = self.dt
-            # fmin sends NaN to the last piece, where u and so the value stay NaN
-            k = np.fmin(t / dt, self.n - 2).astype(np.intp)
-            u = t - k * dt
-            out = c0[k] * u
-            for c in (c1, c2):
-                out += c[k]
-                out *= u
-            out += c3[k]
+        if self._coef is None:
+            # piecewise coefficients, highest degree first: c0 u^3 + ... + c3
+            self._coef = [np.ascontiguousarray(c)
+                          for c in CubicSpline(self.ts, self.values).c]
+        c0, c1, c2, c3 = self._coef
+        dt = self.dt
+        # fmin sends NaN to the last piece, where u and so the value stay NaN
+        k = np.fmin(t / dt, self.n - 2).astype(np.intp)
+        u = t - k * dt
+        out = c0[k] * u
+        for c in (c1, c2):
+            out += c[k]
+            out *= u
+        out += c3[k]
         return complex(out[0]) if scalar else out
 
     # --- CSV format: header "t,re,im", uniform increasing t from 0 ---
@@ -103,7 +93,7 @@ class GridFunction:
                 writer.writerow([f"{t:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
 
     @classmethod
-    def from_csv(cls, path, interpolation="cubic"):
+    def from_csv(cls, path):
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
@@ -119,10 +109,10 @@ class GridFunction:
         if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * ts[-1]:
             raise DomainError(f"{path}: t must be strictly increasing and uniform")
         vals = np.array([r[1] + 1j * r[2] for r in rows])
-        return cls(float(ts[-1]), vals, interpolation)
+        return cls(float(ts[-1]), vals)
 
 
-def gaussian_bump(tmax, n=257, width=1.0, center=0.0, interpolation="cubic"):
+def gaussian_bump(tmax, n=257, width=1.0, center=0.0):
     """Smooth even bump exp(-((t-center)/width)^2) + mirror term, on [0, tmax]."""
     ts = np.linspace(0.0, float(tmax), int(n))
     vals = np.exp(-(((ts - center) / width) ** 2)) + (
@@ -130,7 +120,7 @@ def gaussian_bump(tmax, n=257, width=1.0, center=0.0, interpolation="cubic"):
     )
     if center:
         vals = 0.5 * vals
-    return GridFunction(float(tmax), vals.astype(complex), interpolation)
+    return GridFunction(float(tmax), vals.astype(complex))
 
 
 @dataclass

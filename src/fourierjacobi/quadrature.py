@@ -59,40 +59,41 @@ def integrate(func, a, b):
     return composite_gauss(func, a, b, n_segments=n_seg, order=10)
 
 
-def graded_edges(outer=0.5, levels=40, ratio=0.5):
-    """Geometric mesh edges on (0, outer] refining toward 0."""
-    pts = outer * ratio ** np.arange(levels + 1)
+def graded_edges(outer=0.5, levels=40):
+    """Geometric mesh edges on (0, outer] refining toward 0 (ratio 1/2)."""
+    pts = outer * 0.5 ** np.arange(levels + 1)
     return np.concatenate(([0.0], pts[::-1]))[1:]  # drop the exact 0 endpoint
 
 
-def singular_halfline_nodes(cutoff, graded_outer=0.5, levels=40, order=8,
-                            seg_len=0.5, smooth_order=10):
+def singular_halfline_nodes(cutoff, seg_len=0.5):
     """Node/weight arrays for integrands mildly singular at 0 on (0, cutoff].
 
-    Geometric subdivision (ratio 1/2) of (0, graded_outer] handles t^sigma
-    behaviour near the origin; uniform composite Gauss covers the rest.
-    The untouched sliver (0, graded_outer * 2^-levels] is dropped (its
-    contribution is O(sliver^2) for integrands vanishing linearly at 0).
+    Geometric subdivision (ratio 1/2, 40 levels, order-8 Gauss) of
+    (0, 0.5] handles t^sigma behaviour near the origin; order-10 composite
+    Gauss on segments of at most seg_len covers the rest.  The untouched
+    sliver (0, 0.5 * 2^-40] is dropped (its contribution is O(sliver^2) for
+    integrands vanishing linearly at 0).
     """
     cutoff = float(cutoff)
-    if cutoff <= graded_outer:
-        edges = graded_edges(cutoff, levels)
-        return composite_gauss_nodes(edges, order)
-    g_nodes, g_weights = composite_gauss_nodes(graded_edges(graded_outer, levels), order)
-    n_seg = max(4, int(np.ceil((cutoff - graded_outer) / seg_len)))
-    edges = np.linspace(graded_outer, cutoff, n_seg + 1)
-    s_nodes, s_weights = composite_gauss_nodes(edges, smooth_order)
+    if cutoff <= 0.5:
+        return composite_gauss_nodes(graded_edges(cutoff), 8)
+    g_nodes, g_weights = composite_gauss_nodes(graded_edges(0.5), 8)
+    n_seg = max(4, int(np.ceil((cutoff - 0.5) / seg_len)))
+    edges = np.linspace(0.5, cutoff, n_seg + 1)
+    s_nodes, s_weights = composite_gauss_nodes(edges, 10)
     return np.concatenate([g_nodes, s_nodes]), np.concatenate([g_weights, s_weights])
 
 
-def decay_cutoff(rate, abs_tol, lo=3.0, hi=None):
-    """Truncation point for integrands bounded by exp(-rate * t)."""
+def decay_cutoff(rate, hi=None):
+    """Truncation point, at least 3, for integrands bounded by exp(-rate * t).
+
+    The tail beyond it is below ABS_TOL.
+    """
     if rate <= 0:
         raise PrecisionError(
             f"decay_cutoff: nonpositive decay rate {rate}; integral not certified"
         )
-    t = (np.log(1.0 / abs_tol) + 5.0) / rate
-    t = max(lo, t)
+    t = max(3.0, (np.log(1.0 / ABS_TOL) + 5.0) / rate)
     if hi is not None:
         t = min(t, hi)
     return t

@@ -15,7 +15,7 @@ from scipy.interpolate import CubicSpline
 from .core import JacobiParams, c_function, phi, phi_second_kind, weight_delta
 from .errors import DomainError
 from .grid import GridFunction
-from .quadrature import ABS_TOL, TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
+from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .transform import forward_transform, inverse_transform
 
 
@@ -64,7 +64,7 @@ def b_hat(params: JacobiParams, lam, xi):
     if abs(xi.imag) > params.rho * (1.0 + 1e-12):
         raise DomainError(f"b_hat: xi={xi} outside the strip")
     rate = lam.imag - abs(xi.imag)
-    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 4)
+    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 4)
     nodes, weights = singular_halfline_nodes(cutoff)
     vals = (
         b_lambda(params, lam, nodes)
@@ -89,7 +89,7 @@ def b_l1_norm(params: JacobiParams, lam):
             f"b_l1_norm: not integrable (Im lambda = {lam.imag} <= rho)"
         )
     rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 8)
+    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
     nodes, weights = singular_halfline_nodes(cutoff)
     vals = np.abs(b_lambda(params, lam, nodes)) * weight_delta(params, nodes)
     return float(2.0 * np.sum(weights * vals))
@@ -141,8 +141,7 @@ class TLambdaOperator:
     Tail integrals are precomputed cumulatively on a dense grid and splined.
     """
 
-    def __init__(self, params: JacobiParams, f: GridFunction, lam,
-                 n_grid=8001, tol=1e-12):
+    def __init__(self, params: JacobiParams, f: GridFunction, lam, n_grid=8001):
         lam = complex(lam)
         if not (0.0 < lam.imag < params.rho):
             raise DomainError(
@@ -151,13 +150,12 @@ class TLambdaOperator:
         self.params = params
         self.f = f
         self.lam = lam
-        self.tol = tol
         ts = np.linspace(0.0, f.tmax, n_grid)
         delta = weight_delta(params, ts)
         fv = np.asarray(f(ts), dtype=complex)
-        phv = phi(params, lam, ts, tol)
+        phv = phi(params, lam, ts)
         bv = np.empty(n_grid, dtype=complex)
-        bv[1:] = b_lambda(params, lam, ts[1:], tol)
+        bv[1:] = b_lambda(params, lam, ts[1:])
         bv[0] = 0.0  # only ever used multiplied by Delta ~ t^(2a+1)
         g1 = fv * phv * delta
         g2 = fv * delta
@@ -181,9 +179,9 @@ class TLambdaOperator:
         out = np.zeros(t_arr.shape, dtype=complex)
         if np.any(inside):
             ti = t_arr[inside]
-            out[inside] = b_lambda(self.params, self.lam, ti, self.tol) * self._tail1(
-                ti
-            ) - phi(self.params, self.lam, ti, self.tol) * self._tail2(ti)
+            out[inside] = b_lambda(self.params, self.lam, ti) * self._tail1(ti) - phi(
+                self.params, self.lam, ti
+            ) * self._tail2(ti)
         return complex(out[0]) if scalar else out
 
 
@@ -208,7 +206,7 @@ def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
 
 
 def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,
-                        lambda_max=30.0, n_segments=45, order=10):
+                        lambda_max=30.0, n_segments=45):
     """(f * b_lambda)(t) for smooth f via the spectral route.
 
     (1/4 pi) int fhat(xi) (xi^2-lam^2)^-1 phi_xi(t) |c(xi)|^-2 d xi, taken by
@@ -220,4 +218,4 @@ def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,
     def fhat_over(xi):
         return forward_transform(params, f, xi) / (xi * xi - lam * lam)
 
-    return inverse_transform(params, fhat_over, t, lambda_max, n_segments, order)
+    return inverse_transform(params, fhat_over, t, lambda_max, n_segments)

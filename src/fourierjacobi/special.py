@@ -4,8 +4,9 @@ Everything else in the library reduces to the primitives here: the Gauss
 series ``_series_2f1`` with its cancellation estimate, the routes built on
 it behind ``gauss_2f1_array`` (real z < 1, complex parameters; each point's
 route is chosen by ``_routes``), the near-one expansion ``hyp2f1_near_one``
-and ``log_gamma`` on the cut plane.  The Euler integral
-``euler_integral_2f1`` is an independent cross-check.
+and ``log_gamma`` on the cut plane.  Integral c-a-b near one and integral
+a-b at z <= -4 share one logarithmic kernel, ``_hyp2f1_log_case``.  The
+Euler integral ``euler_integral_2f1`` is an independent cross-check.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import cmath
 import math
 
 import numpy as np
+from scipy.special import psi as digamma
 from scipy.special import roots_jacobi
 
 from .errors import DomainError, PrecisionError
 
 MAX_TERMS = 100_000
 _CONN_POLE_GAP = 1.0  # least distance from a-b to Z for the 1/(1-z) connection
+_INT_GAP = 1e-8  # a-b (1/z side) or c-a-b (near one) this close to Z counts as integral
 _BLOCK = 32  # series terms formed per numpy pass
 _EPS = float(np.finfo(float).eps)
 
@@ -40,31 +43,31 @@ _LANCZOS_COEF = (
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
-def is_nonpositive_integer(z, tol=1e-12):
-    """True when z sits (within tol) on {0, -1, -2, ...}."""
+def is_nonpositive_integer(z):
+    """True when z sits (within 1e-12) on {0, -1, -2, ...}."""
     z = complex(z)
-    if abs(z.imag) > tol:
+    if abs(z.imag) > 1e-12:
         return False
     r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= tol
+    return r <= 0 and abs(z.real - r) <= 1e-12
 
 
-def _near_integer(z, tol=1e-10):
+def _near_integer(z):
     z = complex(z)
-    return abs(z.imag) < tol and abs(z.real - round(z.real)) < tol
+    return abs(z.imag) < _INT_GAP and abs(z.real - round(z.real)) < _INT_GAP
 
 
-def log_gamma(z, tol=1e-12):
+def log_gamma(z):
     """Principal-branch log Gamma via Lanczos with reflection for Re z < 1/2.
 
     For Re z < 1/2 the reflection formula may shift the imaginary part by a
     multiple of 2*pi; exp(log_gamma(z)) is always Gamma(z).
     """
     z = complex(z)
-    if is_nonpositive_integer(z, tol):
+    if is_nonpositive_integer(z):
         raise DomainError(f"log_gamma: pole at z={z} (nonpositive integer)")
     if z.real < 0.5:
-        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z, tol)
+        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
     zm = z - 1.0
     acc = _LANCZOS_COEF[0]
     for k in range(1, len(_LANCZOS_COEF)):
@@ -86,17 +89,22 @@ def _log_sin_pi(z):
     return -s * 1j * w + cmath.log(1.0 - cmath.exp(s * 2j * w)) + cmath.log(s * 0.5j)
 
 
-def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
+def _series_2f1(a, b, c, z, tol, psi=None):
     """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n over an array z.
+
+    With ``psi``, a function of the term indices n, term n is weighted by
+    log z - psi(n): the logarithmic series of DLMF 15.8.10.
 
     Returns the sums and, per point, the cancellation estimate
     eps * max|term| / |sum|: the relative error that rounding in the largest
     term leaves in the sum (Pearson, Olver & Porter, Numer. Algorithms 74,
-    2017).  Terms are formed ``_BLOCK`` at a time; a point stops once the
-    last three terms of a block are each below tol * (1 - q) * |partial sum|,
-    q the rate at which its terms fall, so that the geometric tail stays
-    below tol too even for z near 1.  A point that stops leaves the working
-    arrays, so no point runs as long as the slowest one.
+    2017).  Terms are formed ``_BLOCK`` at a time and summed in order, so a
+    point's sum does not depend on the points that share the call.  A point
+    stops once the last three terms of a block are each below
+    tol * (1 - q) * |partial sum|, q the rate at which its terms fall, so
+    that the geometric tail stays below tol too even for z near 1.  A point
+    that stops leaves the working arrays, so no point runs as long as the
+    slowest one.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     total = np.empty_like(z)
@@ -105,24 +113,30 @@ def _series_2f1(a, b, c, z, tol, max_terms=MAX_TERMS):
     zl = z.ravel()
     az = np.abs(zl)
     term = np.ones_like(zl)
-    acc = np.ones_like(zl)
-    top = np.ones(zl.shape)
+    acc = np.ones_like(zl) if psi is None else np.log(zl) - psi(np.zeros(1))
+    top = np.abs(acc)
     n = 0
     while live.size:
-        if n >= max_terms:
+        if n >= MAX_TERMS:
             worst = float(np.max(np.abs(term) / np.maximum(np.abs(acc), 1e-300)))
             raise PrecisionError(
-                f"2F1 series: no convergence within {max_terms} terms "
+                f"2F1 series: no convergence within {MAX_TERMS} terms "
                 f"(worst relative term {worst:.2e})",
                 achieved=worst,
             )
         k = np.arange(n, n + _BLOCK, dtype=float)
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        terms = term * np.cumprod(ratio[:, None] * zl, axis=0)
-        acc = acc + terms.sum(axis=0)
+        terms = ratio[:, None] * zl
+        np.cumprod(terms, axis=0, out=terms)
+        terms *= term
+        term = terms[-1].copy()
+        if psi is not None:
+            terms *= np.log(zl) - psi(k + 1.0)[:, None]
+        # numpy sums a lone column pairwise but several row by row; cumsum
+        # is row by row for one column too
+        acc = acc + (terms.sum(axis=0) if zl.size > 1 else terms.cumsum(axis=0)[-1])
         mag = np.abs(terms)
         top = np.maximum(top, mag.max(axis=0))
-        term = terms[-1]
         n += _BLOCK
         # the terms fall off like q^n, q -> |z|: the tail is |term| q/(1-q)
         q = az * max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))))
@@ -201,7 +215,7 @@ def _invz_2f1(a, b, c, z, tol):
 
     Returns the values and the cancellation estimate of ``_connection``.
     """
-    if _near_integer(a - b, 1e-8):
+    if _near_integer(a - b):
         raise PrecisionError(
             f"2F1: 1/z connection degenerate (a-b={a - b} near integer)"
         )
@@ -257,7 +271,7 @@ def _connection(a, b, c, base, x, uppers, tol):
 # Routes of gauss_2f1_array, indexed by the codes of ``_routes``; each is
 # looked up by name at call time, so a replaced module attribute is seen.
 _ROUTES = ("_series_2f1", "_pfaff_2f1", "_invz_2f1", "_invz_degenerate", "_conn_2f1", "_mp_2f1")
-DIRECT, PFAFF, INVZ, DETOUR, CONN, MPMATH = range(len(_ROUTES))
+DIRECT, PFAFF, INVZ, DEGENERATE, CONN, MPMATH = range(len(_ROUTES))
 
 
 def _routes(a, b, c, z, tol):
@@ -265,46 +279,54 @@ def _routes(a, b, c, z, tol):
 
     The one place where routes are chosen, from (a, b, c, z, tol) before
     any summing.  A point's home route is DIRECT, the power series, for
-    z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5,
-    and down to z = -19 when a-b is integral; below that INVZ, the two-term
-    1/z connection, or, when a-b is integral, DETOUR, that connection at
-    a +- 1e-4 and a +- 2e-4 Richardson-extrapolated (``_invz_degenerate``).
+    z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5;
+    for z <= -4, INVZ, the two-term 1/z connection, or, when a-b is
+    integral, DEGENERATE: Pfaff onto the near-one logarithmic series in
+    x = 1/(1-z) (DLMF 15.8.10, ``_invz_degenerate``).  An a-b within
+    _INT_GAP of an integer but off it by more than rounding has MPMATH as
+    its home: the 1/z connection sits at a Gamma pole there, and the log
+    series would sum at the nearest integer, an error of the offset's size.
     The point is certified when ``series_safe`` holds for every series its
     home route sums (|a b z| direct; |a (c-b) w|, w = z/(z-1), Pfaff;
-    |a (a-c+1) / z| and |b (b-c+1) / z| 1/z and detour), or when the
-    series' terms are all of one sign (direct at z >= 0, Pfaff); the direct
-    series at z > 0 must also end within MAX_TERMS.  For phi this holds
-    roughly while |lam sinh t| < ln(tol/eps).
+    |a (a-c+1) / z| and |b (b-c+1) / z| 1/z; |a (c-b) x| and |b (c-a) x|
+    degenerate), or when the series' terms are all of one sign (direct at
+    z >= 0, Pfaff); the direct series at z > 0 must also end within
+    MAX_TERMS.  For phi this holds roughly while |lam sinh t| < ln(tol/eps).
 
     An uncertified point with z < 0 takes CONN, the 1/(1-z) connection
     (DLMF 15.8.3; for phi the Harish-Chandra expansion
     c(lam) Phi_lam + c(-lam) Phi_-lam), when a-b lies at distance >= 1 from
     the integers and that series ends within MAX_TERMS.  Any other
-    uncertified point keeps its home route, except that the detour and a
-    direct series that would not end take MPMATH.  gauss_2f1_array keeps
-    certified sums and those whose cancellation estimate is at most tol,
-    and sends the rest to mpmath at 40 digits, the last resort.
+    uncertified point keeps its home route, except that a direct series
+    that would not end takes MPMATH.  gauss_2f1_array keeps certified sums
+    and those whose cancellation estimate is at most tol, and sends the
+    rest to mpmath at 40 digits, the last resort.
     """
     z = np.asarray(z, dtype=float)
     d = a - b
-    integral = _near_integer(d, 1e-8)
-    pfaff_zone = (z > -4.0) | (integral & (z >= -19.0))
-    home = np.where(z >= -0.5, DIRECT, np.where(pfaff_zone, PFAFF, DETOUR if integral else INVZ))
+    off = abs(d - round(d.real))
+    exact = off <= 4.0 * _EPS * (abs(a) + abs(b))  # integral to rounding
+    far_home = INVZ if not _near_integer(d) else DEGENERATE if exact else MPMATH
+    home = np.where(z >= -0.5, DIRECT, np.where(z > -4.0, PFAFF, far_home))
     ends = (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
-    inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
+    x = 1.0 / (1.0 - z)
+    if far_home == DEGENERATE:
+        far = series_safe(a, c - b, x, tol) & series_safe(b, c - a, x, tol)
+    else:
+        inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
+        far = series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol)
+        far &= far_home == INVZ  # an MPMATH home is not certified
     certified = np.where(
         home == DIRECT,
         (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0))) & ends,
         np.where(
             home == PFAFF,
             series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c),
-            series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol),
+            far,
         ),
     )
-    conn = (abs(d - round(d.real)) >= _CONN_POLE_GAP) & (z < 0) & _series_fits(
-        1.0 / (1.0 - z), c.real - 2.0, tol
-    )
-    stuck = (home == DETOUR) | ((home == DIRECT) & ~ends)
+    conn = (off >= _CONN_POLE_GAP) & (z < 0) & _series_fits(x, c.real - 2.0, tol)
+    stuck = (home == DIRECT) & ~ends
     route = np.where(certified, home, np.where(conn, CONN, np.where(stuck, MPMATH, home)))
     return route, certified
 
@@ -340,21 +362,21 @@ def gauss_2f1_array(a, b, c, z, tol=1e-12):
     return out
 
 
-def _invz_degenerate(a, b, c, z, tol, eps=1e-4):
-    """1/z connection at integral a-b via Richardson-extrapolated detours.
+def _invz_degenerate(a, b, c, z, tol):
+    """2F1 at integral a-b and z <= -4, with its cancellation estimate.
 
-    2F1 is analytic in a; symmetric +-eps averages kill the odd error terms
-    and one Richardson step the eps^2 term, leaving ~1e-11 relative error
-    from the cancellation inside the detoured connection formulas.  That
-    error is not estimated: the estimate returned is infinite.
+    By Pfaff, 2F1(a, b; c; z) = (1-z)^-a 2F1(a, c-b; c; 1-x), x = 1/(1-z),
+    and there c - a - (c-b) = b - a is integral: the near-one logarithmic
+    series (DLMF 15.8.10, ``_hyp2f1_log_case``) in x <= 1/5.  When a, b,
+    c-a or c-b is a nonpositive integer that series does not apply, and
+    the Pfaff series, oriented so that it terminates, is summed instead.
     """
-
-    def sym(h):
-        return 0.5 * (
-            _invz_2f1(a + h, b, c, z, tol)[0] + _invz_2f1(a - h, b, c, z, tol)[0]
-        )
-
-    return (4.0 * sym(eps) - sym(2.0 * eps)) / 3.0, np.full(np.shape(z), np.inf)
+    if is_nonpositive_integer(b) or is_nonpositive_integer(c - a):
+        return _pfaff_2f1(b, a, c, z, tol)
+    if is_nonpositive_integer(a) or is_nonpositive_integer(c - b):
+        return _pfaff_2f1(a, b, c, z, tol)
+    vals, cancel = _hyp2f1_log_case(a, c - b, c, 1.0 / (1.0 - z), tol)
+    return _pow_real_base(1.0 - z, -a) * vals, cancel
 
 
 def gauss_2f1(a, b, c, z, tol=1e-12):
@@ -370,8 +392,7 @@ def hyp2f1_near_one(a, b, c, w, tol=1e-12):
     """2F1(a, b; c; 1-w) through the w-expansion, for array w in (0, 1).
 
     Uses the two-term connection formula when c-a-b is not an integer and
-    the logarithmic expansion when c-a-b is a (near-)integer.  The integer
-    case is reduced to s = a+b-c in {0, 1, 2, ...} via the Euler transform.
+    the logarithmic expansion (``_hyp2f1_log_case``) when it is.
     """
     a = complex(a)
     b = complex(b)
@@ -380,81 +401,58 @@ def hyp2f1_near_one(a, b, c, w, tol=1e-12):
     if np.any((w <= 0) | (w >= 1)):
         raise DomainError("hyp2f1_near_one: w must lie in (0, 1)")
     s = c - a - b
-    if not _near_integer(s, 1e-9):
-        coef1 = gamma_ratio((c, s), (c - a, c - b))
-        coef2 = gamma_ratio((c, -s), (a, b))
-        t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
-        t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
-        return t1 + t2
-    m = round(s.real)
-    if m >= 0:
-        return _hyp2f1_log_case(a, b, m, w, tol)
-    # Euler transform flips the sign of c-a-b.
-    return _pow_real_base(w, s) * _hyp2f1_log_case(c - a, c - b, -m, w, tol)
+    if _near_integer(s):
+        return _hyp2f1_log_case(a, b, c, w, tol)[0]
+    coef1 = gamma_ratio((c, s), (c - a, c - b))
+    coef2 = gamma_ratio((c, -s), (a, b))
+    t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
+    t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
+    return t1 + t2
 
 
-def _digamma(z):
-    from scipy.special import psi
+def _hyp2f1_log_case(a, b, c, w, tol):
+    """2F1(a, b; c; 1-w) for integral m = c-a-b, array w in (0, 1).
 
-    return complex(psi(complex(z)))
-
-
-def _hyp2f1_log_case(a, b, m, w, tol):
-    """2F1(a, b; a+b+m; 1-w) for integer m >= 0, array w in (0, 1).
-
-    DLMF 15.8.10; requires a, b not nonpositive integers (true for all
-    spectral parameters produced upstream).
+    DLMF 15.8.10, for m >= 0:
+        G(m) G(c) / (G(a+m) G(b+m)) sum_{k<m} (a)_k (b)_k / (k! (1-m)_k) w^k
+        - (-w)^m G(c) / (G(a) G(b)) sum_k tau_k (log w - psi_k),
+    tau_k the terms of 2F1(a+m, b+m; m+1; w) / m! and
+    psi_k = psi(k+1) + psi(k+m+1) - psi(a+k+m) - psi(b+k+m); m < 0 goes
+    through the Euler transform w^(c-a-b) 2F1(c-a, c-b; c; 1-w).  Needs a, b
+    (after it) not nonpositive integers.  Returns the values and the
+    cancellation estimate eps * (largest term times coefficient) / |value|.
     """
+    s = c - a - b
+    m = round(s.real)
+    pre = 1.0
+    if m < 0:
+        pre, a, b, m = _pow_real_base(w, s), c - a, c - b, -m
     if is_nonpositive_integer(a) or is_nonpositive_integer(b):
         raise DomainError("log-case 2F1: a or b is a nonpositive integer")
-    c = a + b + m
-    w = np.asarray(w, dtype=float)
-    logw = np.log(w)
-    out = np.zeros(w.shape, dtype=complex)
-    # Finite part (empty when m == 0).
+
+    def psi(k):
+        return digamma(k + 1.0) + digamma(k + m + 1.0) - digamma(a + m + k) - digamma(b + m + k)
+
+    logs, cancel = _series_2f1(a + m, b + m, m + 1.0, w, tol, psi)
+    coef = -((-w) ** m) * gamma_ratio((c,), (a, b, m + 1.0))
+    out = coef * logs
+    scale = cancel / _EPS * np.abs(out)
     if m > 0:
+        k = np.arange(1.0, m)
+        terms = np.cumprod((a + k - 1.0) * (b + k - 1.0) / (k * (k - m))) * w[:, None] ** k
         coef = gamma_ratio((float(m), c), (a + m, b + m))
-        term = np.ones(w.shape, dtype=complex)
-        acc = term.copy()
-        for k in range(1, m):
-            term = term * ((a + k - 1.0) * (b + k - 1.0) / (k * (k - m))) * w
-            acc += term
-        out += coef * acc
-    # Logarithmic series.
-    coef = -((-1.0) ** m) * gamma_ratio((c,), (a, b))
-    pref = coef * w**m
-    term = np.ones(w.shape, dtype=complex) / math.factorial(m)
-    total = np.zeros(w.shape, dtype=complex)
-    streak = 0
-    # psi(k+1) + psi(k+m+1) - psi(a+k+m) - psi(b+k+m), stepped in k by
-    # psi(x+1) = psi(x) + 1/x from its value at k = 0
-    psi_sum = _digamma(1.0) + _digamma(m + 1.0) - _digamma(a + m) - _digamma(b + m)
-    for k in range(MAX_TERMS):
-        if k:
-            x = k + m - 1.0
-            psi_sum += 1.0 / k + 1.0 / (x + 1.0) - 1.0 / (a + x) - 1.0 / (b + x)
-        contrib = term * (logw - psi_sum)
-        total += contrib
-        scale = np.maximum(np.abs(total), 1e-300)
-        if np.all(np.abs(contrib) <= tol * scale):
-            streak += 1
-            if streak >= 3:
-                break
-        else:
-            streak = 0
-        term = term * ((a + m + k) * (b + m + k) / ((k + 1.0) * (k + m + 1.0))) * w
-    else:
-        raise PrecisionError("log-case 2F1: series did not converge")
-    return out + pref * total
+        out += coef * (1.0 + terms.sum(axis=1))
+        scale = np.maximum(scale, abs(coef) * np.abs(terms).max(axis=1, initial=1.0))
+    return pre * out, _EPS * scale / np.maximum(np.abs(out), 1e-300)
 
 
-def euler_integral_2f1(a, b, c, z, n_nodes=192, tol=1e-10):
+def euler_integral_2f1(a, b, c, z):
     """Quadrature of the Euler integral representation of 2F1.
 
     Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 s^(b-1) (1-s)^(c-b-1) (1-sz)^(-a) ds,
     valid for Re c > Re b > 0 and z < 1.  Gauss-Jacobi nodes absorb the
-    endpoint singularities; the node count is doubled once as an internal
-    consistency check.
+    endpoint singularities; 192 nodes are doubled once as an internal
+    consistency check, which must agree to 1e-8 relative.
     """
     a = complex(a)
     b = complex(b)
@@ -478,10 +476,10 @@ def euler_integral_2f1(a, b, c, z, n_nodes=192, tol=1e-10):
         scale = 2.0 ** (-(b.real - 1.0) - ((c - b).real - 1.0) - 1.0)
         return scale * np.sum(wj * rest)
 
-    coarse = estimate(n_nodes)
-    fine = estimate(2 * n_nodes)
+    coarse = estimate(192)
+    fine = estimate(384)
     err = abs(fine - coarse)
-    if err > max(tol, 1e-8) * max(1.0, abs(fine)):
+    if err > 1e-8 * max(1.0, abs(fine)):
         raise PrecisionError(
             f"euler_integral_2f1: quadrature not converged (delta {err:.2e})",
             achieved=err,

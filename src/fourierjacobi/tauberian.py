@@ -15,8 +15,11 @@ import numpy as np
 
 from .core import JacobiParams, weight_delta
 from .errors import DomainError, PrecisionError
-from .quadrature import ABS_TOL, TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
+from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .resolvent import TLambdaOperator, b_lambda
+
+_IRHO_RADIUS = 0.25  # zeros this close to +-i rho are the expected ones (mean-zero f, mass-1 mu)
+_COND_LIMIT = 1e12  # span_density_demo solves Gram systems past this by truncated SVD
 
 
 def delta_inf_plus(t_grid, abs_f, rho):
@@ -44,12 +47,12 @@ def delta_inf_plus(t_grid, abs_f, rho):
     return est, (float(0.5 * horizon), float(horizon))
 
 
-def delta_irho(F, rho, x0=None, n_steps=20, tail=5):
+def delta_irho(F, rho, x0=None, n_steps=20):
     """Boundary indicator: limsup_{x -> rho-} (rho - x) log|F(ix)|.
 
     F is a callable on complex lambda, probed on the geometric sequence
     x_k = rho - 2^-k (rho - x0); the limsup surrogate is the max over the
-    last `tail` points.
+    last 5 points.
     """
     if x0 is None:
         x0 = 0.5 * rho
@@ -62,7 +65,7 @@ def delta_irho(F, rho, x0=None, n_steps=20, tail=5):
         with np.errstate(divide="ignore"):
             vals.append((rho - x) * np.log(abs(complex(F(1j * x)))))
     vals = np.asarray(vals)
-    return float(np.max(vals[-tail:])), xs, vals
+    return float(np.max(vals[-5:])), xs, vals
 
 
 @dataclass(frozen=True)
@@ -97,15 +100,14 @@ def _family_score(transforms, lam):
     return max(abs(complex(f(lam))) for f in transforms)
 
 
-def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid,
-                      threshold, refine_rounds=3, irho_radius=0.25):
+def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid, threshold):
     """Locate candidate common zeros of a transform family on the strip.
 
     Cells whose center value max_nu |fhat_nu| falls below the threshold are
-    refined by `refine_rounds` rounds of 2x2 subdivision; candidates are
-    reported as cells (never points — transforms are only known to
-    quadrature accuracy).  The report flags whether every candidate sits
-    within irho_radius of +-i rho.
+    refined by up to 3 rounds of 2x2 subdivision; candidates are reported
+    as cells (never points — transforms are only known to quadrature
+    accuracy).  The report flags whether every candidate sits within
+    0.25 of +-i rho.
     """
     if threshold <= 0:
         raise DomainError("scan_common_zeros: threshold must be positive")
@@ -118,7 +120,7 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid,
         (c, hre, him, _family_score(transforms, c)) for c, hre, him in cells
     ]
     candidates = [c for c in candidates if c[3] < threshold]
-    for _ in range(refine_rounds):
+    for _ in range(3):
         refined = []
         for center, hre, him, _ in candidates:
             for sre in (-0.5, 0.5):
@@ -137,7 +139,7 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid,
     ]
     only_irho = all(
         min(abs(complex(r["re"], r["im"]) - 1j * params.rho),
-            abs(complex(r["re"], r["im"]) + 1j * params.rho)) <= irho_radius
+            abs(complex(r["re"], r["im"]) + 1j * params.rho)) <= _IRHO_RADIUS
         for r in cell_reports
     )
     return {
@@ -151,7 +153,7 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid,
 
 def _pair_exterior(params, g, lam):
     rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, ABS_TOL, hi=TAIL_CUTOFF * 8)
+    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
     g_tmax = getattr(g, "tmax", None)
     if g_tmax is not None:
         cutoff = min(cutoff, g_tmax)
@@ -211,14 +213,14 @@ def cauchy_riemann_residual(func, lam, h=1e-4):
     return abs(dx + 1j * dy)
 
 
-def span_density_demo(params: JacobiParams, target, lambdas, cond_limit=1e12):
+def span_density_demo(params: JacobiParams, target, lambdas):
     """Weighted least-squares approximation of target by span{b_lambda_k}.
 
     lambdas must all satisfy Im lambda > rho; residuals are reported for
     every nested prefix of the list (so growing the set can only help).
     The merit function is the Delta-weighted L^2 surrogate on a singular-
-    aware node set.  Ill-conditioned Gram systems are solved by truncated
-    SVD and flagged.
+    aware node set.  Gram systems with condition number above 1e12 are solved
+    by truncated SVD and flagged.
     """
     tmax = getattr(target, "tmax", None)
     if tmax is None:
@@ -232,7 +234,7 @@ def span_density_demo(params: JacobiParams, target, lambdas, cond_limit=1e12):
     if any(x.imag <= params.rho for x in lambdas):
         raise DomainError("span_density_demo: all lambdas need Im lambda > rho")
     slowest = min(x.imag for x in lambdas) - params.rho
-    cutoff = max(float(tmax), decay_cutoff(slowest, ABS_TOL, hi=TAIL_CUTOFF * 4))
+    cutoff = max(float(tmax), decay_cutoff(slowest, hi=TAIL_CUTOFF * 4))
     nodes, weights = singular_halfline_nodes(cutoff)
     sqw = np.sqrt(weights * weight_delta(params, nodes))
     y = np.asarray(
@@ -246,13 +248,13 @@ def span_density_demo(params: JacobiParams, target, lambdas, cond_limit=1e12):
         a_k = columns[:, :k]
         sv = np.linalg.svd(a_k, compute_uv=False)
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        rcond = 1.0 / cond_limit if cond > cond_limit else None
+        rcond = 1.0 / _COND_LIMIT if cond > _COND_LIMIT else None
         coef, *_ = np.linalg.lstsq(a_k, y, rcond=rcond)
         res = float(np.linalg.norm(a_k @ coef - y))
         sizes.append(k)
         residuals.append(res)
         conds.append(cond)
-        regularized.append(cond > cond_limit)
+        regularized.append(cond > _COND_LIMIT)
     return {
         "sizes": sizes,
         "residuals": residuals,

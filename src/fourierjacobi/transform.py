@@ -72,18 +72,18 @@ def plancherel_density(params: JacobiParams, lam):
     return float(out[0]) if scalar else out
 
 
-def spectral_nodes(lambda_max, n_segments=24, order=10):
-    """Deterministic Gauss-Legendre node set on [0, lambda_max]."""
+def spectral_nodes(lambda_max, n_segments=24):
+    """Deterministic order-10 Gauss-Legendre node set on [0, lambda_max]."""
     edges = np.linspace(0.0, float(lambda_max), n_segments + 1)
-    return composite_gauss_nodes(edges, order)
+    return composite_gauss_nodes(edges, 10)
 
 
 def inverse_transform(params: JacobiParams, fhat, t, lambda_max=40.0,
-                      n_segments=None, order=10):
+                      n_segments=None):
     """f(t) = (1/4 pi) int_0^lambda_max fhat(lam) phi_lam(t) |c(lam)|^-2 d lam.
 
-    The integral is truncated at lambda_max and taken by Gauss-Legendre
-    rules of the given order on n_segments equal segments (by default two
+    The integral is truncated at lambda_max and taken by order-10
+    Gauss-Legendre rules on n_segments equal segments (by default two
     per unit of lambda_max, at least 16 and at most 2000);
     ``inversion_tail_estimate`` bounds what the truncation leaves out.
     fhat is a callable on real lam, called once on the whole node array,
@@ -92,7 +92,7 @@ def inverse_transform(params: JacobiParams, fhat, t, lambda_max=40.0,
     """
     if n_segments is None:
         n_segments = min(max(16, int(lambda_max * 2)), 2000)
-    nodes, weights = spectral_nodes(lambda_max, n_segments, order)
+    nodes, weights = spectral_nodes(lambda_max, n_segments)
     try:
         fh = np.asarray(fhat(nodes), dtype=complex)
         if fh.shape != nodes.shape:

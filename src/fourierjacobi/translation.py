@@ -147,13 +147,13 @@ def _s_integral(weights, tau):
 
 
 def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
-             n_r=32, n_psi=32, s_order=10, s_segments=None):
+             n_r=32, n_psi=32, s_segments=None):
     """(f * g)(t) = int tau_s f(t) g(s) Delta(s) ds on the certified subgrid.
 
     Output is a GridFunction on [0, f.tmax - g.tmax] carrying valid_tmax
     (domain-shrinking convention: no extrapolation of f beyond its grid).
     tau_s f(t) is taken for all s nodes and output t in one batched call
-    (composite Gauss in s, s_segments segments of order s_order).
+    (composite Gauss in s, s_segments segments of order 10).
     """
     out_tmax = f.tmax - g.tmax
     if out_tmax <= 0:
@@ -165,12 +165,12 @@ def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
     if s_segments is None:
         s_segments = max(8, int(np.ceil(g.tmax * 4)))
     edges = np.linspace(0.0, g.tmax, s_segments + 1)
-    s_nodes, s_weights = composite_gauss_nodes(edges, s_order)
+    s_nodes, s_weights = composite_gauss_nodes(edges, 10)
     gs = np.asarray(g(s_nodes), dtype=complex) * weight_delta(params, s_nodes)
     out_ts = np.linspace(0.0, out_tmax, out_n)
     tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
     out_vals = _s_integral(s_weights * gs, tau)
-    return GridFunction(out_tmax, out_vals, f.interpolation, valid_tmax=out_tmax)
+    return GridFunction(out_tmax, out_vals, valid_tmax=out_tmax)
 
 
 def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
@@ -207,7 +207,7 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
             dens = dens * weight_delta(params, s_nodes)
         tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
         out_vals += _s_integral(s_weights * dens, tau)
-    return GridFunction(out_tmax, out_vals, f.interpolation, valid_tmax=out_tmax)
+    return GridFunction(out_tmax, out_vals, valid_tmax=out_tmax)
 
 
 def l1_norm(params: JacobiParams, f):

@@ -1,5 +1,7 @@
 """Jacobi functions, the c-function, and the differential operators."""
 
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from fourierjacobi import (
     weight_delta,
 )
 from fourierjacobi import special
+from fourierjacobi.errors import PrecisionError
 from fourierjacobi.core import (
     apply_L,
     apply_cherednik_T,
@@ -134,6 +137,24 @@ class TestPhi:
             for t, g in zip(ts, phi(p, lam, ts)):
                 want = mp_phi(p, lam, t)
                 assert abs(g - want) <= 1e-10 * abs(want), (ab, t)
+
+    @pytest.mark.parametrize("ab", [(2.3, 0.7), (1.2, 1.2), (3.0, -0.5), (1.0, 0.0), (0.5, -0.5)])
+    def test_imaginary_integer_lambda_keeps_tol(self, ab):
+        # lambda = ik makes a - b = k integral; from t = asinh 2 on, z <= -4
+        # and the integral route (Pfaff onto DLMF 15.8.10) answers.  phi is
+        # even in lambda, so k >= 0 covers the strip.
+        p = JacobiParams(*ab)
+        ts = np.linspace(1.4, 6.0, 8)
+        for k in range(math.ceil(p.rho)):
+            try:
+                got = phi(p, 1j * k, ts, tol=1e-12)
+            except PrecisionError:
+                continue
+            for t, g in zip(ts, got):
+                want = mp_phi(p, 1j * k, t)
+                assert abs(g - want) <= 1e-12 * abs(want), (k, t)
+        if ab == (0.5, -0.5):
+            np.testing.assert_allclose(phi(p, 0.0, ts), ts / np.sinh(ts), rtol=1e-12, atol=0)
 
     def test_tol_below_eps(self):
         # no double-precision series certifies tol = 1e-16

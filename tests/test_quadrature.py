@@ -54,9 +54,9 @@ def test_singular_nodes_log_singularity():
 
 
 def test_decay_cutoff_scales_with_rate():
-    assert decay_cutoff(2.0, 1e-10) < decay_cutoff(0.5, 1e-10)
+    assert decay_cutoff(2.0) < decay_cutoff(0.5)
 
 
 def test_decay_cutoff_rejects_nonpositive_rate():
     with pytest.raises(PrecisionError):
-        decay_cutoff(0.0, 1e-10)
+        decay_cutoff(0.0)
