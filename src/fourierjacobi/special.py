@@ -164,10 +164,7 @@ def series_safe(p, q, x, tol):
 
 
 def _one_signed(p, q, r):
-    """True when (p)_n (q)_n / (r)_n > 0 for every n: p, q, r real and positive.
-
-    A series with such parameters and x >= 0 has no cancellation to lose.
-    """
+    """True when p, q, r are real and positive: no cancellation at x >= 0."""
     return all(v.imag == 0 and v.real > 0 for v in (p, q, r))
 
 
@@ -200,10 +197,7 @@ def _pow_real_base(x, p):
 
 
 def _pfaff_2f1(a, b, c, z, tol):
-    """Pfaff transform: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0.
-
-    Returns the values and the series' cancellation estimate.
-    """
+    """Pfaff: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0, and the series' estimate."""
     z = np.atleast_1d(np.asarray(z, dtype=float))
     w = z / (z - 1.0)
     vals, cancel = _series_2f1(a, c - b, c, w, tol)
@@ -289,9 +283,10 @@ def _routes(a, b, c, z, tol):
     The point is certified when ``series_safe`` holds for every series its
     home route sums (|a b z| direct; |a (c-b) w|, w = z/(z-1), Pfaff;
     |a (a-c+1) / z| and |b (b-c+1) / z| 1/z; |a (c-b) x| and |b (c-a) x|
-    degenerate), or when the series' terms are all of one sign (direct at
-    z >= 0, Pfaff); the direct series at z > 0 must also end within
-    MAX_TERMS.  For phi this holds roughly while |lam sinh t| < ln(tol/eps).
+    degenerate, unless a polynomial is summed), or when the series' terms
+    are all of one sign (direct at z >= 0, Pfaff); the direct series at
+    z > 0 must also end within MAX_TERMS.  For phi this holds roughly
+    while |lam sinh t| < ln(tol/eps).
 
     An uncertified point with z < 0 takes CONN, the 1/(1-z) connection
     (DLMF 15.8.3; for phi the Harish-Chandra expansion
@@ -311,7 +306,8 @@ def _routes(a, b, c, z, tol):
     ends = (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
     x = 1.0 / (1.0 - z)
     if far_home == DEGENERATE:
-        far = series_safe(a, c - b, x, tol) & series_safe(b, c - a, x, tol)
+        poly = any(is_nonpositive_integer(v) for v in (a, b, c - a, c - b))
+        far = series_safe(a, c - b, x, tol) & series_safe(b, c - a, x, tol) & (not poly)
     else:
         inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
         far = series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol)
@@ -366,15 +362,19 @@ def _invz_degenerate(a, b, c, z, tol):
     """2F1 at integral a-b and z <= -4, with its cancellation estimate.
 
     By Pfaff, 2F1(a, b; c; z) = (1-z)^-a 2F1(a, c-b; c; 1-x), x = 1/(1-z),
-    and there c - a - (c-b) = b - a is integral: the near-one logarithmic
-    series (DLMF 15.8.10, ``_hyp2f1_log_case``) in x <= 1/5.  When a, b,
-    c-a or c-b is a nonpositive integer that series does not apply, and
-    the Pfaff series, oriented so that it terminates, is summed instead.
+    whose c - a - (c-b) = b - a is integral: the near-one log series (DLMF
+    15.8.10, ``_hyp2f1_log_case``) in x <= 1/5.  Where a, b, c-a or c-b is
+    a nonpositive integer, each form that ends (Pfaff either way round, the
+    z series at exactly integral a or b) is summed instead, and each point
+    keeps the least estimate: 2F1(1, -10; 50; -60) keeps 3 digits in w, 16 in z.
     """
-    if is_nonpositive_integer(b) or is_nonpositive_integer(c - a):
-        return _pfaff_2f1(b, a, c, z, tol)
-    if is_nonpositive_integer(a) or is_nonpositive_integer(c - b):
-        return _pfaff_2f1(a, b, c, z, tol)
+    sums = [_pfaff_2f1(p, q, c, z, tol) for p, q in ((a, b), (b, a))
+            if is_nonpositive_integer(p) or is_nonpositive_integer(c - q)]
+    if any(v.imag == 0 and v.real <= 0 and v.real.is_integer() for v in (a, b)):
+        sums.append(_series_2f1(a, b, c, z, tol))
+    if sums:
+        vals, cancel = zip(*sums)
+        return np.choose(np.argmin(cancel, axis=0), vals), np.min(cancel, axis=0)
     vals, cancel = _hyp2f1_log_case(a, c - b, c, 1.0 / (1.0 - z), tol)
     return _pow_real_base(1.0 - z, -a) * vals, cancel
 

@@ -17,7 +17,6 @@ from fourierjacobi import (
     weight_delta,
 )
 from fourierjacobi import special
-from fourierjacobi.errors import PrecisionError
 from fourierjacobi.core import (
     apply_L,
     apply_cherednik_T,
@@ -146,10 +145,7 @@ class TestPhi:
         p = JacobiParams(*ab)
         ts = np.linspace(1.4, 6.0, 8)
         for k in range(math.ceil(p.rho)):
-            try:
-                got = phi(p, 1j * k, ts, tol=1e-12)
-            except PrecisionError:
-                continue
+            got = phi(p, 1j * k, ts, tol=1e-12)
             for t, g in zip(ts, got):
                 want = mp_phi(p, 1j * k, t)
                 assert abs(g - want) <= 1e-12 * abs(want), (k, t)

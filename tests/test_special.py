@@ -222,6 +222,17 @@ class TestRoutes:
             want = np.array([complex(mp.hyp2f1(a, b, c, x)) for x in z])
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
+    @pytest.mark.parametrize("abc", [
+        (1.0, -10.0, 50.0),  # only the polynomial in w = z/(z-1) ends; it cancels
+        (12.0, 3.0, 2.0),  # c-a = -10 and c-b = -1: two polynomials in w
+        (-5.0, -17.0, 6.0 + 1j),  # the degree-17 polynomial in w cancels
+    ])
+    def test_integral_polynomial_keeps_tol(self, abc):
+        z = np.array([-5.0, -20.0, -60.0, -1e5])
+        got = gauss_2f1_array(*abc, z)
+        want = np.array([mp_2f1(*abc, x) for x in z])
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
 
 class TestNearOne:
     def test_generic_connection(self):
