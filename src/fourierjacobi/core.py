@@ -9,7 +9,6 @@ differential-difference operator T whose even part is phi.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -25,6 +24,7 @@ from .special import (
 )
 
 _PHI2K_SPLIT = 0.7  # t above which Phi always takes the cosh^-2 t series
+_BATCH_POINTS = 8192  # most (lambda, t) points one batched phi call holds
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,9 @@ def strip_region(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL) -> str:
     return "interior" if gap < 0 else "exterior"
 
 
-def in_strip(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL) -> bool:
-    return strip_region(params, lam, tie_tol) != "exterior"
+def in_strip(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL):
+    """Not exterior (see ``strip_region``); elementwise over an array lam."""
+    return np.abs(np.imag(lam)) - params.rho <= tie_tol
 
 
 def weight_delta(params: JacobiParams, t):
@@ -82,17 +83,52 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     """Jacobi function of the first kind; even in t and in lambda.
 
     phi_lam(t) = 2F1((rho - i lam)/2, (rho + i lam)/2; alpha + 1; -sinh^2 t).
-    Accepts scalar or array t.  One ``gauss_2f1_array`` call; the route of
-    each point is chosen in ``special._routes``.
+    lam and t are scalars or arrays, broadcast together: equal-length 1-d
+    arrays give phi at the pairs (lam_k, t_k), so one call serves many
+    lambdas.  A complex when both are scalars, else an array of the
+    broadcast shape.  One ``gauss_2f1_array`` call; the route of each point
+    is chosen in ``special._routes``, and a point's value does not depend
+    on the points that share the call.
     """
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    z = -np.sinh(np.atleast_1d(t)) ** 2
+    z = -np.sinh(t) ** 2
     a = (params.rho - 1j * lam) / 2.0
     b = (params.rho + 1j * lam) / 2.0
     out = gauss_2f1_array(a, b, params.alpha + 1.0, z, tol)
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if lam.ndim == t.ndim == 0 else out
+
+
+def _phi_rows(params: JacobiParams, lam, t):
+    """phi at every (lambda, t) of a lambda array and a 1-d t: shape lam.shape + t.shape.
+
+    Rows of lambda go to ``phi`` as equal-length 1-d arrays, in chunks of
+    whole rows of at most ``_BATCH_POINTS`` points (one row at least); a
+    scalar lambda is one ``phi`` call on t.
+    """
+    lam = np.asarray(lam, dtype=complex)
+    t = np.asarray(t, dtype=float)
+    if lam.ndim == 0:
+        return phi(params, lam, t)
+    flat = lam.ravel()
+    out = np.empty((flat.size, t.size), dtype=complex)
+    rows = max(1, _BATCH_POINTS // max(t.size, 1))
+    for k in range(0, flat.size, rows):
+        part = flat[k:k + rows]
+        out[k:k + rows] = phi(params, np.repeat(part, t.size), np.tile(t, part.size)).reshape(
+            part.size, t.size)
+    return out.reshape(lam.shape + t.shape)
+
+
+def _on_array(func, xs):
+    """func over the whole array xs, or element by element when it takes only scalars."""
+    try:
+        out = np.asarray(func(xs), dtype=complex)
+        if out.shape == xs.shape:
+            return out
+    except (TypeError, ValueError):
+        pass
+    return np.array([complex(func(x)) for x in xs], dtype=complex)
 
 
 def _forbidden_second_kind(lam):
@@ -129,7 +165,10 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
         out[near] = hyp2f1_near_one(a, b, c, w[near], tol)
     if not np.all(near):
         out[~near] = gauss_2f1_array(a, b, c, np.cosh(t[~near]) ** -2.0, tol)
-    out *= np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
+    # not in place: numpy multiplies a lone complex in place by other
+    # rounding than in a longer array, and a point's value must not
+    # depend on its batch
+    out = out * np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
     return complex(out[0]) if scalar else out
 
 
@@ -158,19 +197,28 @@ def c_function(params: JacobiParams, lam):
 
     c(lam) = 2^(rho - i lam) Gamma(a+1) Gamma(i lam)
              / (Gamma((rho + i lam)/2) Gamma((i lam + a - b + 1)/2)).
+    A complex for scalar lam; an array lam gives an array of its shape, one
+    call for every point.  A pole of Gamma(i lam) anywhere raises.
     """
-    lam = complex(lam)
+    lam = np.asarray(lam, dtype=complex)
+    scalar = lam.ndim == 0
+    # at least 1-d: numpy's array loops and its scalar arithmetic may round
+    # a complex product differently, and every lambda takes the same loops
+    lam = np.atleast_1d(lam)
     il = 1j * lam
-    if is_nonpositive_integer(il):
+    pole = is_nonpositive_integer(il)
+    if pole.any():
+        bad = complex(lam[pole][0])
         raise DomainError(
-            f"c_function: Gamma(i*lambda) pole at lambda={lam} (i*lambda={il})"
+            f"c_function: Gamma(i*lambda) pole at lambda={bad} (i*lambda={1j * bad})"
         )
     rho = params.rho
     # Denominator Gamma poles are ordinary zeros of c.
-    return cmath.exp((rho - il) * math.log(2.0)) * gamma_ratio(
+    out = np.exp((rho - il) * math.log(2.0)) * gamma_ratio(
         (params.alpha + 1.0, il),
         ((rho + il) / 2.0, (il + params.alpha - params.beta + 1.0) / 2.0),
     )
+    return complex(out[0]) if scalar else out
 
 
 def heckman_opdam_g(params: JacobiParams, lam, x, tol=1e-12):

@@ -83,11 +83,12 @@ def iterate_and_report(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
         report.steps.append(
             {"step": k, "valid_tmax": cur.tmax, "flatness": flats[-1]}
         )
-    for lam in probes:
-        mh = forward_transform_measure(params, mu, complex(lam))
+    probes = np.asarray(probes, dtype=complex)
+    for lam, mh in zip(probes, forward_transform_measure(params, mu, probes)):
+        mh = complex(mh)
         report.probes.append(
             {
-                "lambda": float(np.real(lam)),
+                "lambda": float(lam.real),
                 "muhat": [mh.real, mh.imag],
                 "decay_seq": [abs(mh) ** k for k in range(n + 1)],
             }
@@ -108,29 +109,24 @@ def check_mu_conditions(params: JacobiParams, mu: EvenMeasure,
     (rho - x) log|1 - muhat(ix)|.
     """
     mass = mu.total_mass(params)
-    offcenter = []
-    flagged = []
-    for lam in grid.points(params):
-        v = abs(forward_transform_measure(params, mu, lam) - 1.0)
-        near_irho = min(abs(lam - 1j * params.rho), abs(lam + 1j * params.rho))
-        if near_irho <= _IRHO_RADIUS:
-            flagged.append({"re": lam.real, "im": lam.imag, "abs_muhat_minus_1": v})
-        else:
-            offcenter.append(v)
+    pts = np.array(grid.points(params))
+    dist = np.abs(forward_transform_measure(params, mu, pts) - 1.0)
+    near = np.minimum(np.abs(pts - 1j * params.rho), np.abs(pts + 1j * params.rho)) <= _IRHO_RADIUS
+    flagged = [{"re": float(lam.real), "im": float(lam.imag), "abs_muhat_minus_1": float(v)}
+               for lam, v in zip(pts[near], dist[near])]
+    offcenter = dist[~near]
     if x_sequence is None:
         ks = np.arange(1, 21)
         x_sequence = params.rho * (1.0 - 0.5**ks)
     xs = np.asarray(x_sequence, dtype=float)
-    seq = []
-    for x in xs:
-        mh = forward_transform_measure(params, mu, 1j * x)
-        with np.errstate(divide="ignore"):
-            seq.append(float((params.rho - x) * np.log(abs(1.0 - mh))))
+    mh = forward_transform_measure(params, mu, 1j * xs)
+    with np.errstate(divide="ignore"):
+        seq = ((params.rho - xs) * np.log(np.abs(1.0 - mh))).tolist()
     return {
         "mass": complex(mass).real if abs(complex(mass).imag) < 1e-12 else complex(mass),
         "atom0": mu.atom0,
         "atom0_is_total": abs(complex(mu.atom0) - complex(mass)) < 1e-12,
-        "min_offcenter_abs_muhat_minus_1": float(min(offcenter)) if offcenter else None,
+        "min_offcenter_abs_muhat_minus_1": float(offcenter.min()) if offcenter.size else None,
         "irho_cells": flagged,
         "boundary_xs": xs.tolist(),
         "boundary_sequence": seq,

@@ -30,12 +30,18 @@ def gauss_nodes(a, b, order):
 
 
 def composite_gauss(func, a, b, n_segments=32, order=10):
-    """Composite Gauss-Legendre over n_segments equal pieces of [a, b]."""
+    """Composite Gauss-Legendre over n_segments equal pieces of [a, b].
+
+    func may return one row of values per integrand (nodes on the last
+    axis); each row is summed on its own, and the result is a complex for a
+    single integrand, else an array of the leading shape.
+    """
     if b <= a:
         return 0.0 + 0.0j
     edges = np.linspace(a, b, n_segments + 1)
     nodes, weights = composite_gauss_nodes(edges, order)
-    return complex(np.sum(weights * np.asarray(func(nodes), dtype=complex)))
+    out = np.sum(weights * np.asarray(func(nodes), dtype=complex), axis=-1)
+    return complex(out) if out.ndim == 0 else out
 
 
 def composite_gauss_nodes(edges, order=10):

@@ -15,8 +15,8 @@ import cmath
 import math
 
 import numpy as np
+from scipy.special import loggamma, roots_jacobi
 from scipy.special import psi as digamma
-from scipy.special import roots_jacobi
 
 from .errors import DomainError, PrecisionError
 
@@ -26,73 +26,77 @@ _INT_GAP = 1e-8  # a-b (1/z side) or c-a-b (near one) this close to Z counts as 
 _BLOCK = 32  # series terms formed per numpy pass
 _EPS = float(np.finfo(float).eps)
 
-# Lanczos approximation, g = 7, 9 coefficients.
-_LANCZOS_G = 7
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
 
 def is_nonpositive_integer(z):
-    """True when z sits (within 1e-12) on {0, -1, -2, ...}."""
-    z = complex(z)
-    if abs(z.imag) > 1e-12:
-        return False
-    r = round(z.real)
-    return r <= 0 and abs(z.real - r) <= 1e-12
+    """True where z sits (within 1e-12) on {0, -1, -2, ...}; elementwise."""
+    z = np.asarray(z, dtype=complex)
+    r = np.rint(z.real)
+    return (np.abs(z.imag) <= 1e-12) & (r <= 0) & (np.abs(z.real - r) <= 1e-12)
 
 
 def _near_integer(z):
-    z = complex(z)
-    return abs(z.imag) < _INT_GAP and abs(z.real - round(z.real)) < _INT_GAP
+    z = np.asarray(z, dtype=complex)
+    return (np.abs(z.imag) < _INT_GAP) & (np.abs(z.real - np.rint(z.real)) < _INT_GAP)
 
 
 def log_gamma(z):
-    """Principal-branch log Gamma via Lanczos with reflection for Re z < 1/2.
+    """Principal-branch log Gamma, elementwise over an array z.
 
-    For Re z < 1/2 the reflection formula may shift the imaginary part by a
-    multiple of 2*pi; exp(log_gamma(z)) is always Gamma(z).
+    scipy's ``loggamma`` (Hare, J. Algorithms 25, 1997) chooses each
+    point's expansion; its imaginary part is the continuous branch, so
+    exp(log_gamma(z)) is always Gamma(z).  A pole anywhere raises.
     """
-    z = complex(z)
-    if is_nonpositive_integer(z):
-        raise DomainError(f"log_gamma: pole at z={z} (nonpositive integer)")
-    if z.real < 0.5:
-        return math.log(math.pi) - _log_sin_pi(z) - log_gamma(1.0 - z)
-    zm = z - 1.0
-    acc = _LANCZOS_COEF[0]
-    for k in range(1, len(_LANCZOS_COEF)):
-        acc += _LANCZOS_COEF[k] / (zm + k)
-    t = zm + _LANCZOS_G + 0.5
-    return _HALF_LOG_2PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(acc)
+    z = np.asarray(z, dtype=complex)
+    pole = is_nonpositive_integer(z)
+    if pole.any():
+        raise DomainError(f"log_gamma: pole at z={z[pole][0]} (nonpositive integer)")
+    return loggamma(z)[()]
 
 
-def _log_sin_pi(z):
-    """log sin(pi z), up to a multiple of 2 pi i; finite for any |Im z|.
+def _at(v, at):
+    """A route's share of a parameter: all of a 0-d one, the points at of a per-point one."""
+    return v if np.ndim(v) == 0 else v[at]
 
-    sin(pi z) itself overflows once |Im z| passes about 225; for
-    |Im z| > 5 it is factored as -+(i/2) e^(-+i pi z) (1 - e^(+-2 i pi z)).
+
+def _runs(*params):
+    """Parameters per run of points that share them, and each point's run.
+
+    Scalars come back as they are, with run None.  Per-point arrays (phi
+    over rows of lambda gives runs of one lambda each) come back as the
+    values of each run, with each point's run index, so work that depends
+    on the parameters alone is done once per run.
     """
-    if abs(z.imag) <= 5.0:
-        return cmath.log(cmath.sin(cmath.pi * z))
-    s = 1.0 if z.imag > 0 else -1.0
-    w = cmath.pi * z
-    return -s * 1j * w + cmath.log(1.0 - cmath.exp(s * 2j * w)) + cmath.log(s * 0.5j)
+    params = tuple(np.asarray(v, dtype=complex) for v in params)
+    if all(v.ndim == 0 for v in params):
+        return params, None
+    params = np.broadcast_arrays(*params)
+    edge = np.zeros(params[0].shape, dtype=bool)
+    edge[:1] = True
+    for v in params:
+        edge[1:] |= v[1:] != v[:-1]
+    return tuple(v[edge] for v in params), np.cumsum(edge) - 1
+
+
+def _by_pair(a, b, at):
+    """(mask, a, b) for each run of the points at that share (a, b)."""
+    (pa, pb), run = _runs(_at(a, at), _at(b, at))
+    if run is None:
+        yield at, complex(pa), complex(pb)
+        return
+    idx = np.flatnonzero(at)
+    for k in range(pa.size):
+        sel = np.zeros(at.shape, dtype=bool)
+        sel[idx[run == k]] = True
+        yield sel, complex(pa[k]), complex(pb[k])
 
 
 def _series_2f1(a, b, c, z, tol, psi=None):
     """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n over an array z.
 
-    With ``psi``, a function of the term indices n, term n is weighted by
+    Each of a, b, c is a scalar or an array with one value per point of z;
+    the term ratio is formed once per run of points that share their
+    parameters (``_runs``) and read per column.  With ``psi``, a function of the
+    term indices n (scalar parameters only), term n is weighted by
     log z - psi(n): the logarithmic series of DLMF 15.8.10.
 
     Returns the sums and, per point, the cancellation estimate
@@ -103,10 +107,11 @@ def _series_2f1(a, b, c, z, tol, psi=None):
     stops once the last three terms of a block are each below
     tol * (1 - q) * |partial sum|, q the rate at which its terms fall, so
     that the geometric tail stays below tol too even for z near 1.  A point
-    that stops leaves the working arrays, so no point runs as long as the
-    slowest one.
+    that stops leaves the working arrays, with its parameters, so no point
+    runs as long as the slowest one.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
+    (a, b, c), run = _runs(a, b, c)
     total = np.empty_like(z)
     peak = np.empty(z.shape)
     live = np.arange(z.size)
@@ -124,14 +129,18 @@ def _series_2f1(a, b, c, z, tol, psi=None):
                 f"(worst relative term {worst:.2e})",
                 achieved=worst,
             )
-        k = np.arange(n, n + _BLOCK, dtype=float)
+        # one ratio past the block: the rate at which the terms fall
+        k = np.arange(n, n + _BLOCK + 1, dtype=float)[:, None]
         ratio = (a + k) * (b + k) / ((c + k) * (k + 1.0))
-        terms = ratio[:, None] * zl
+        if run is not None:
+            # take keeps the block C-ordered, which the in-order sum below needs
+            ratio = np.take(ratio, run, axis=1)
+        terms = ratio[:-1] * zl
         np.cumprod(terms, axis=0, out=terms)
         terms *= term
         term = terms[-1].copy()
         if psi is not None:
-            terms *= np.log(zl) - psi(k + 1.0)[:, None]
+            terms *= np.log(zl) - psi(k[:-1] + 1.0)
         # numpy sums a lone column pairwise but several row by row; cumsum
         # is row by row for one column too
         acc = acc + (terms.sum(axis=0) if zl.size > 1 else terms.cumsum(axis=0)[-1])
@@ -139,7 +148,7 @@ def _series_2f1(a, b, c, z, tol, psi=None):
         top = np.maximum(top, mag.max(axis=0))
         n += _BLOCK
         # the terms fall off like q^n, q -> |z|: the tail is |term| q/(1-q)
-        q = az * max(1.0, abs((a + n) * (b + n) / ((c + n) * (n + 1.0))))
+        q = az * np.maximum(1.0, np.abs(ratio[-1]))
         done = mag[-3:].max(axis=0) <= tol * np.abs(acc) * np.maximum(1.0 - q, 0.0)
         if done.any():
             total.flat[live[done]] = acc[done]
@@ -147,6 +156,8 @@ def _series_2f1(a, b, c, z, tol, psi=None):
             keep = ~done
             live, zl, az = live[keep], zl[keep], az[keep]
             term, acc, top = term[keep], acc[keep], top[keep]
+            if run is not None:
+                run = run[keep]
     return total, _EPS * peak / np.maximum(np.abs(total), 1e-300)
 
 
@@ -164,8 +175,8 @@ def series_safe(p, q, x, tol):
 
 
 def _one_signed(p, q, r):
-    """True when p, q, r are real and positive: no cancellation at x >= 0."""
-    return all(v.imag == 0 and v.real > 0 for v in (p, q, r))
+    """Mask of points whose p, q, r are real and positive: no cancellation at x >= 0."""
+    return (p.imag == 0) & (p.real > 0) & (q.imag == 0) & (q.real > 0) & (r.imag == 0) & (r.real > 0)
 
 
 def _series_fits(x, sigma, tol):
@@ -176,7 +187,7 @@ def _series_fits(x, sigma, tol):
     (ln(1/tol) + ln(1/(1-x)) + sigma ln n) / (1-x) terms.
     """
     s = np.maximum(1.0 - x, 1e-300)
-    need = math.log(1.0 / tol) - np.log(s) + max(sigma, 0.0) * math.log(MAX_TERMS)
+    need = math.log(1.0 / tol) - np.log(s) + np.maximum(sigma, 0.0) * math.log(MAX_TERMS)
     return need <= 0.5 * MAX_TERMS * s
 
 
@@ -209,9 +220,11 @@ def _invz_2f1(a, b, c, z, tol):
 
     Returns the values and the cancellation estimate of ``_connection``.
     """
-    if _near_integer(a - b):
+    near = _near_integer(a - b)
+    if near.any():
         raise PrecisionError(
-            f"2F1: 1/z connection degenerate (a-b={a - b} near integer)"
+            f"2F1: 1/z connection degenerate (a-b={np.broadcast_to(a - b, near.shape)[near][0]} "
+            "near integer)"
         )
     z = np.atleast_1d(np.asarray(z, dtype=float))
     return _connection(a, b, c, -z, 1.0 / z, (a - c + 1.0, b - c + 1.0), tol)
@@ -220,12 +233,22 @@ def _invz_2f1(a, b, c, z, tol):
 def gamma_ratio(num, den):
     """prod Gamma(num) / prod Gamma(den), formed in log space; 0 at a pole of den.
 
-    The factors may leave the double range (|Gamma(i y)| ~ e^(-pi |y| / 2))
-    while the ratio does not.
+    Each factor is a scalar or an array, all broadcast together, and one
+    ``log_gamma`` pass serves them all; the ratio is 0 at the points where
+    a factor of den has a pole.  The factors may leave the double range
+    (|Gamma(i y)| ~ e^(-pi |y| / 2)) while the ratio does not.
     """
-    if any(is_nonpositive_integer(d) for d in den):
-        return 0j
-    return cmath.exp(sum(log_gamma(v) for v in num) - sum(log_gamma(v) for v in den))
+    n = len(num)
+    factors = (*num, *den)
+    args = np.empty((len(factors),) + np.broadcast_shapes(*map(np.shape, factors)), dtype=complex)
+    for k, v in enumerate(factors):
+        args[k] = v
+    pole = is_nonpositive_integer(args)
+    zero = pole[n:].any(axis=0)
+    if (pole[:n] & ~zero).any():
+        raise DomainError(f"gamma_ratio: pole of a numerator factor at {args[:n][pole[:n] & ~zero][0]}")
+    logs = loggamma(np.where(zero, 1.0, args))
+    return np.where(zero, 0j, np.exp(sum(logs[:n]) - sum(logs[n:])))[()]
 
 
 def _conn_2f1(a, b, c, z, tol):
@@ -238,7 +261,7 @@ def _conn_2f1(a, b, c, z, tol):
     c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) with x = cosh^-2 t (Koornwinder
     1984).
     """
-    z = np.asarray(z, dtype=float)
+    z = np.atleast_1d(np.asarray(z, dtype=float))
     return _connection(a, b, c, 1.0 - z, 1.0 / (1.0 - z), (c - b, c - a), tol)
 
 
@@ -247,18 +270,26 @@ def _connection(a, b, c, base, x, uppers, tol):
 
         G(c) G(q-p) / (G(q) G(c-p)) base^-p 2F1(p, r; p-q+1; x).
 
-    A term whose coefficient vanishes is skipped.  Returns the values and
-    the worse of the two series' cancellation estimates; the terms' own
-    cancellation against each other is not estimated.
+    a and b are scalars or per-point arrays.  A term is skipped at the
+    points where its coefficient vanishes.  Returns the values and the worse
+    of the two series' cancellation estimates; the terms' own cancellation
+    against each other is not estimated.
     """
     out = np.zeros(x.shape, dtype=complex)
     cancel = np.zeros(x.shape)
-    for (p, q), r in zip(((a, b), (b, a)), uppers):
-        coef = gamma_ratio((c, q - p), (q, c - p))
-        if coef != 0:
-            vals, est = _series_2f1(p, r, p - q + 1.0, x, tol)
-            out += coef * _pow_real_base(base, -p) * vals
-            cancel = np.maximum(cancel, est)
+    (ra, rb), run = _runs(a, b)
+    coefs = gamma_ratio((c, np.array([rb - ra, ra - rb])), (np.array([rb, ra]), np.array([c - ra, c - rb])))
+    if run is not None:
+        coefs = np.take(coefs, run, axis=1)
+    for (p, q), r, coef in zip(((a, b), (b, a)), uppers, coefs):
+        at = coef != 0
+        if not at.any():
+            continue
+        at = slice(None) if at.all() else np.broadcast_to(at, x.shape)
+        p, r, s = (_at(v, at) for v in (p, r, p - q + 1.0))
+        vals, est = _series_2f1(p, r, s, x[at], tol)
+        out[at] += _at(coef, at) * _pow_real_base(base[at], -p) * vals
+        cancel[at] = np.maximum(cancel[at], est)
     return out, cancel
 
 
@@ -272,8 +303,9 @@ def _routes(a, b, c, z, tol):
     """Route code and ``certified`` flag per point of gauss_2f1_array.
 
     The one place where routes are chosen, from (a, b, c, z, tol) before
-    any summing.  A point's home route is DIRECT, the power series, for
-    z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5;
+    any summing; a and b are scalars or per-point arrays, and every test
+    that reads them is a per-point mask.  A point's home route is DIRECT,
+    the power series, for z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5;
     for z <= -4, INVZ, the two-term 1/z connection, or, when a-b is
     integral, DEGENERATE: Pfaff onto the near-one logarithmic series in
     x = 1/(1-z) (DLMF 15.8.10, ``_invz_degenerate``).  An a-b within
@@ -297,30 +329,36 @@ def _routes(a, b, c, z, tol):
     and those whose cancellation estimate is at most tol, and sends the
     rest to mpmath at 40 digits, the last resort.
     """
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
     z = np.asarray(z, dtype=float)
-    d = a - b
-    off = abs(d - round(d.real))
-    exact = off <= 4.0 * _EPS * (abs(a) + abs(b))  # integral to rounding
-    far_home = INVZ if not _near_integer(d) else DEGENERATE if exact else MPMATH
-    home = np.where(z >= -0.5, DIRECT, np.where(z > -4.0, PFAFF, far_home))
+    # each home's test is formed only when some point has that home
+    home = np.where(z >= -0.5, DIRECT, np.where(z > -4.0, PFAFF, INVZ))
     ends = (z <= 0) | _series_fits(z, (a + b - c).real - 1.0, tol)
+    certified = np.zeros(z.shape, dtype=bool)
+    at = home == DIRECT
+    if at.any():
+        certified |= at & ends & (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0)))
+    at = home == PFAFF
+    if at.any():
+        certified |= at & (series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c))
+    d = a - b
+    off = np.abs(d - np.rint(d.real))
     x = 1.0 / (1.0 - z)
-    if far_home == DEGENERATE:
-        poly = any(is_nonpositive_integer(v) for v in (a, b, c - a, c - b))
-        far = series_safe(a, c - b, x, tol) & series_safe(b, c - a, x, tol) & (not poly)
-    else:
+    at = home == INVZ
+    if at.any():
+        exact = off <= 4.0 * _EPS * (np.abs(a) + np.abs(b))  # integral to rounding
+        home = np.where(at & _near_integer(d), np.where(exact, DEGENERATE, MPMATH), home)
         inv = 1.0 / np.minimum(z, -4.0)  # read only where z <= -4
-        far = series_safe(a, a - c + 1.0, inv, tol) & series_safe(b, b - c + 1.0, inv, tol)
-        far &= far_home == INVZ  # an MPMATH home is not certified
-    certified = np.where(
-        home == DIRECT,
-        (series_safe(a, b, z, tol) | (_one_signed(a, b, c) & (z >= 0))) & ends,
-        np.where(
-            home == PFAFF,
-            series_safe(a, c - b, z / (z - 1.0), tol) | _one_signed(a, c - b, c),
-            far,
-        ),
-    )
+        certified |= ((home == INVZ) & series_safe(a, a - c + 1.0, inv, tol)
+                      & series_safe(b, b - c + 1.0, inv, tol))
+        at = home == DEGENERATE
+        if at.any():
+            poly = is_nonpositive_integer(a) | is_nonpositive_integer(b)
+            poly |= is_nonpositive_integer(c - a) | is_nonpositive_integer(c - b)
+            certified |= (at & ~poly & series_safe(a, c - b, x, tol)
+                          & series_safe(b, c - a, x, tol))
+    if certified.all():
+        return home, certified
     conn = (off >= _CONN_POLE_GAP) & (z < 0) & _series_fits(x, c.real - 2.0, tol)
     stuck = (home == DIRECT) & ~ends
     route = np.where(certified, home, np.where(conn, CONN, np.where(stuck, MPMATH, home)))
@@ -328,33 +366,58 @@ def _routes(a, b, c, z, tol):
 
 
 def gauss_2f1_array(a, b, c, z, tol=1e-12):
-    """2F1(a, b; c; z) for fixed complex parameters over a real array z < 1.
+    """2F1(a, b; c; z) over a real array z < 1, complex parameters.
 
-    ``_routes`` gives each point its route, and each route runs once on all
-    of its points.  Certified sums are kept, and so is any other sum whose
-    cancellation estimate is at most tol; the rest go to mpmath.
+    a and b are scalars or arrays broadcast against z, so one call serves
+    many parameter pairs (phi at many lambda); c is a scalar.  The result
+    has the broadcast shape, at least 1-d.  ``_routes`` gives each point its
+    route, and each route runs once on all of its points; only the
+    integral-(a-b) route and mpmath run once per run of points that share
+    (a, b).  Certified
+    sums are kept, and so is any other sum whose cancellation estimate is
+    at most tol; the rest go to mpmath.  A point's value does not depend on
+    the points that share the call.
     """
-    a = complex(a)
-    b = complex(b)
     c = complex(c)
     if is_nonpositive_integer(c):
         raise DomainError(f"2F1: c={c} is zero or a negative integer")
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if np.any(z >= 1.0):
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    z = np.asarray(z, dtype=float)
+    shape = np.broadcast_shapes(a.shape, b.shape, z.shape) or (1,)
+    z = np.broadcast_to(z, shape).ravel()
+    if a.ndim:
+        a = np.broadcast_to(a, shape).ravel()
+    if b.ndim:
+        b = np.broadcast_to(b, shape).ravel()
+    if (z >= 1.0).any():
         raise DomainError("2F1: argument on the cut [1, oo)")
+    out = np.ones(z.shape, dtype=complex)
+    at = ~np.broadcast_to((a == 0) | (b == 0), z.shape)  # 2F1 = 1 where a or b is 0
+    if at.any():
+        at = slice(None) if at.all() else at
+        out[at] = _dispatch(_at(a, at), _at(b, at), c, z[at], tol)
+    return out.reshape(shape)
+
+
+def _dispatch(a, b, c, z, tol):
+    """Run each route of ``_routes`` on its points, then mpmath on the rest."""
     out = np.empty(z.shape, dtype=complex)
-    if a == 0 or b == 0:
-        out[:] = 1.0
-        return out
     route, certified = _routes(a, b, c, z, tol)
     cancel = np.full(z.shape, np.inf)
     for code in range(MPMATH):
         at = route == code
-        if at.any():
-            out[at], cancel[at] = globals()[_ROUTES[code]](a, b, c, z[at], tol)
+        if not at.any():
+            continue
+        if code == DEGENERATE:
+            for sel, pa, pb in _by_pair(a, b, at):
+                out[sel], cancel[sel] = _invz_degenerate(pa, pb, c, z[sel], tol)
+        else:
+            out[at], cancel[at] = globals()[_ROUTES[code]](_at(a, at), _at(b, at), c, z[at], tol)
     left = ~certified & ~(cancel <= tol)
     if left.any():
-        out[left] = _mp_2f1(a, b, c, z[left])
+        for sel, pa, pb in _by_pair(a, b, left):
+            out[sel] = _mp_2f1(pa, pb, c, z[sel])
     return out
 
 
@@ -403,8 +466,7 @@ def hyp2f1_near_one(a, b, c, w, tol=1e-12):
     s = c - a - b
     if _near_integer(s):
         return _hyp2f1_log_case(a, b, c, w, tol)[0]
-    coef1 = gamma_ratio((c, s), (c - a, c - b))
-    coef2 = gamma_ratio((c, -s), (a, b))
+    coef1, coef2 = gamma_ratio((c, np.array([s, -s])), (np.array([c - a, a]), np.array([c - b, b])))
     t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
     t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
     return t1 + t2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, weight_delta
+from .core import JacobiParams, _on_array, weight_delta
 from .errors import DomainError, PrecisionError
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .resolvent import TLambdaOperator, b_lambda
@@ -51,8 +51,9 @@ def delta_irho(F, rho, x0=None, n_steps=20):
     """Boundary indicator: limsup_{x -> rho-} (rho - x) log|F(ix)|.
 
     F is a callable on complex lambda, probed on the geometric sequence
-    x_k = rho - 2^-k (rho - x0); the limsup surrogate is the max over the
-    last 5 points.
+    x_k = rho - 2^-k (rho - x0) in one call on the whole sequence (point by
+    point when F accepts only scalars); the limsup surrogate is the max over
+    the last 5 points.
     """
     if x0 is None:
         x0 = 0.5 * rho
@@ -60,11 +61,8 @@ def delta_irho(F, rho, x0=None, n_steps=20):
         raise DomainError("delta_irho: need 0 <= x0 < rho")
     ks = np.arange(1, n_steps + 1)
     xs = rho - 0.5**ks * (rho - x0)
-    vals = []
-    for x in xs:
-        with np.errstate(divide="ignore"):
-            vals.append((rho - x) * np.log(abs(complex(F(1j * x)))))
-    vals = np.asarray(vals)
+    with np.errstate(divide="ignore"):
+        vals = (rho - xs) * np.log(np.abs(_on_array(F, 1j * xs)))
     return float(np.max(vals[-5:])), xs, vals
 
 
@@ -94,17 +92,25 @@ class StripScanGrid:
         return pts
 
 
-def _family_score(transforms, lam):
+def _below(transforms, cells, threshold):
+    """The cells (center, half_re, half_im) whose family score is below threshold, with it."""
+    if not cells:
+        return []
     # a COMMON zero requires every member to vanish, so the screening
-    # value is the worst (largest) |fhat| over the family
-    return max(abs(complex(f(lam))) for f in transforms)
+    # value is the worst (largest) |fhat| over the family; each member is
+    # called once on all the centers
+    lams = np.array([c for c, _, _ in cells], dtype=complex)
+    scores = np.max([np.abs(_on_array(f, lams)) for f in transforms], axis=0)
+    return [(c, hre, him, float(v)) for (c, hre, him), v in zip(cells, scores) if v < threshold]
 
 
 def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid, threshold):
     """Locate candidate common zeros of a transform family on the strip.
 
     Cells whose center value max_nu |fhat_nu| falls below the threshold are
-    refined by up to 3 rounds of 2x2 subdivision; candidates are reported
+    refined by up to 3 rounds of 2x2 subdivision; each member of the family
+    is called once per round on all of that round's points (point by point
+    when it accepts only scalars).  Candidates are reported
     as cells (never points — transforms are only known to quadrature
     accuracy).  The report flags whether every candidate sits within
     0.25 of +-i rho.
@@ -116,20 +122,16 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid, thr
     im_top = params.rho - grid.im_margin
     d_im = 2.0 * im_top / max(grid.im_n - 1, 1)
     cells = [(p, 0.5 * d_re, 0.5 * d_im) for p in pts]
-    candidates = [
-        (c, hre, him, _family_score(transforms, c)) for c, hre, him in cells
-    ]
-    candidates = [c for c in candidates if c[3] < threshold]
+    candidates = _below(transforms, cells, threshold)
     for _ in range(3):
-        refined = []
+        subs = []
         for center, hre, him, _ in candidates:
             for sre in (-0.5, 0.5):
                 for sim in (-0.5, 0.5):
                     sub = center + complex(sre * hre, sim * him)
                     sub = complex(sub.real, np.clip(sub.imag, -params.rho, params.rho))
-                    v = _family_score(transforms, sub)
-                    if v < threshold:
-                        refined.append((sub, 0.5 * hre, 0.5 * him, v))
+                    subs.append((sub, 0.5 * hre, 0.5 * him))
+        refined = _below(transforms, subs, threshold)
         if not refined:
             break
         candidates = refined

@@ -4,10 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JacobiParams, c_function, in_strip, phi, weight_delta
+from .core import JacobiParams, _on_array, _phi_rows, c_function, in_strip, weight_delta
 from .errors import DomainError
 from .grid import EvenMeasure
 from .quadrature import composite_gauss_nodes, integrate
+
+
+def _strip_lambda(params, lam, name):
+    """lam as a complex array, refused when any point lies outside the strip."""
+    lam = np.asarray(lam, dtype=complex)
+    outside = ~in_strip(params, lam)
+    if outside.any():
+        raise DomainError(
+            f"{name}: lambda={complex(lam[outside][0])} outside the strip (uncertified region)"
+        )
+    return lam
 
 
 def forward_transform(params: JacobiParams, f, lam):
@@ -15,60 +26,60 @@ def forward_transform(params: JacobiParams, f, lam):
 
     f is a GridFunction (numerically supported in [0, tmax]) or a callable
     paired with an explicit support bound via f.tmax.  Only certified for
-    lam in the strip, where phi stays bounded.
+    lam in the strip, where phi stays bounded.  lam is a scalar (the result
+    is a complex) or an array (the result has its shape): every lambda
+    shares the t nodes, phi is evaluated on the whole lambda x t grid in
+    batched calls, and each lambda's row is summed on its own, so a value
+    does not depend on the other lambdas of the call.
     """
-    lam = complex(lam)
-    if not in_strip(params, lam):
-        raise DomainError(
-            f"forward_transform: lambda={lam} outside the strip (uncertified region)"
-        )
+    lam = _strip_lambda(params, lam, "forward_transform")
     tmax = getattr(f, "tmax", None)
     if tmax is None:
         raise DomainError("forward_transform: f must carry a support bound tmax")
 
     def integrand(t):
-        return f(t) * phi(params, lam, t) * weight_delta(params, t)
+        return f(t) * _phi_rows(params, lam, t) * weight_delta(params, t)
 
-    return complex(2.0 * integrate(integrand, 0.0, tmax))
+    return 2.0 * integrate(integrand, 0.0, tmax)
 
 
 def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
     """muhat(lam) = int phi_lam d mu: atoms plus density contribution.
 
     The density is integrated against its declared reference measure (the
-    measure is the full d mu, not automatically Delta-weighted).
+    measure is the full d mu, not automatically Delta-weighted).  lam is a
+    scalar (the result is a complex) or an array (the result has its
+    shape), evaluated as in ``forward_transform``.
     """
-    lam = complex(lam)
-    if not in_strip(params, lam):
-        raise DomainError(
-            f"forward_transform_measure: lambda={lam} outside the strip"
-        )
+    lam = _strip_lambda(params, lam, "forward_transform_measure")
     total = mu.atom0
     if mu.atoms:
         ts, ws = zip(*mu.atoms)
-        total += sum(w * v for w, v in zip(ws, phi(params, lam, np.array(ts))))
+        vals = _phi_rows(params, lam, np.array(ts))
+        total += sum(w * vals[..., k] for k, w in enumerate(ws))
     if mu.density is not None:
         if mu.density_measure == "delta-weighted":
             def integrand(t):
-                return mu.density(t) * phi(params, lam, t) * weight_delta(params, t)
+                return mu.density(t) * _phi_rows(params, lam, t) * weight_delta(params, t)
         else:
             def integrand(t):
-                return mu.density(t) * phi(params, lam, t)
+                return mu.density(t) * _phi_rows(params, lam, t)
         total += 2.0 * integrate(integrand, 0.0, mu.density.tmax)
-    return complex(total)
+    return complex(total) if lam.ndim == 0 else np.full(lam.shape, total, dtype=complex)
 
 
 def plancherel_density(params: JacobiParams, lam):
-    """|c(lam)|^-2 for real lam; the removable point lam = 0 maps to 0."""
+    """|c(lam)|^-2 for real lam; the removable point lam = 0 maps to 0.
+
+    One ``c_function`` call for all of an array lam.
+    """
     lam = np.asarray(lam, dtype=float)
     scalar = lam.ndim == 0
     lam = np.atleast_1d(lam)
     out = np.zeros(lam.shape, dtype=float)
-    for i, x in enumerate(lam):
-        if abs(x) < 1e-12:
-            out[i] = 0.0
-        else:
-            out[i] = 1.0 / abs(c_function(params, complex(x))) ** 2
+    at = np.abs(lam) >= 1e-12
+    if at.any():
+        out[at] = 1.0 / np.abs(c_function(params, lam[at])) ** 2
     return float(out[0]) if scalar else out
 
 
@@ -88,26 +99,18 @@ def inverse_transform(params: JacobiParams, fhat, t, lambda_max=40.0,
     ``inversion_tail_estimate`` bounds what the truncation leaves out.
     fhat is a callable on real lam, called once on the whole node array,
     or node by node when it accepts only scalars.  t may be scalar or an
-    array; all t share the node set.
+    array; all t share the node set, and phi is evaluated on the whole
+    nodes x t grid in batched calls.
     """
     if n_segments is None:
         n_segments = min(max(16, int(lambda_max * 2)), 2000)
     nodes, weights = spectral_nodes(lambda_max, n_segments)
-    try:
-        fh = np.asarray(fhat(nodes), dtype=complex)
-        if fh.shape != nodes.shape:
-            raise ValueError("fhat(nodes) does not match the shape of nodes")
-    except (TypeError, ValueError):
-        fh = np.array([complex(fhat(x)) for x in nodes])
+    fh = _on_array(fhat, nodes)
     dens = plancherel_density(params, nodes)
     coef = weights * fh * dens / (4.0 * np.pi)
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t_arr = np.atleast_1d(t)
-    out = np.zeros(t_arr.shape, dtype=complex)
-    for c_k, lam_k in zip(coef, nodes):
-        out += c_k * phi(params, complex(lam_k), t_arr)
-    return complex(out[0]) if scalar else out
+    out = np.sum(coef[:, None] * _phi_rows(params, nodes, np.atleast_1d(t)), axis=0)
+    return complex(out[0]) if t.ndim == 0 else out
 
 
 def inversion_tail_estimate(params: JacobiParams, fhat, lambda_max, order=10):
@@ -115,7 +118,7 @@ def inversion_tail_estimate(params: JacobiParams, fhat, lambda_max, order=10):
     [lambda_max/2, lambda_max]; an honest (heuristic) truncation indicator."""
     edges = np.linspace(lambda_max / 2.0, lambda_max, 9)
     nodes, weights = composite_gauss_nodes(edges, order)
-    fh = np.array([complex(fhat(x)) for x in nodes])
+    fh = _on_array(fhat, nodes)
     dens = plancherel_density(params, nodes)
     return float(np.sum(np.abs(weights * fh * dens)) / (4.0 * np.pi))
 
@@ -126,15 +129,13 @@ def riemann_lebesgue_check(params: JacobiParams, f_or_mu, lambdas):
     Returns (values, monotone_flag) where monotone_flag says the sequence
     is strictly decreasing.
     """
-    lambdas = [float(x) for x in lambdas]
-    if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+    lambdas = np.array(lambdas, dtype=float)
+    if np.any(np.diff(lambdas) <= 0):
         raise DomainError("riemann_lebesgue_check: lambda sequence must increase")
-    values = []
-    for lam in lambdas:
-        if isinstance(f_or_mu, EvenMeasure):
-            v = forward_transform_measure(params, f_or_mu, lam)
-            values.append(abs(v - f_or_mu.atom0))
-        else:
-            values.append(abs(forward_transform(params, f_or_mu, lam)))
+    if isinstance(f_or_mu, EvenMeasure):
+        values = np.abs(forward_transform_measure(params, f_or_mu, lambdas) - f_or_mu.atom0)
+    else:
+        values = np.abs(forward_transform(params, f_or_mu, lambdas))
+    values = values.tolist()
     monotone = all(b < a for a, b in zip(values, values[1:]))
     return values, monotone

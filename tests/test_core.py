@@ -173,6 +173,13 @@ class TestSecondKind:
             )
             assert lhs == pytest.approx(rhs, rel=1e-7)
 
+    def test_value_does_not_depend_on_batching(self, standard_params):
+        # t on both sides of the 0.7 split, so both forms serve the batch
+        lam = 0.39 - 0.39j
+        ts = np.array([0.05, 0.3, 0.69, 0.71, 1.5, 3.0, 6.0])
+        batch = phi_second_kind(standard_params, lam, ts)
+        assert all(phi_second_kind(standard_params, lam, t) == v for t, v in zip(ts, batch))
+
     def test_cosh_and_sinh_forms_agree(self, standard_params):
         lam = 0.7 - 0.2j
         for t in (0.8, 1.5, 4.0):
@@ -260,6 +267,32 @@ class TestCFunction:
     def test_gamma_poles_rejected(self, lam):
         with pytest.raises(DomainError):
             c_function(JacobiParams(1.0, 0.0), lam)
+        # one pole anywhere in an array raises too
+        with pytest.raises(DomainError):
+            c_function(JacobiParams(1.0, 0.0), np.array([0.5, lam, 2.0]))
+
+    def test_array_matches_scalar_and_oracles(self, standard_params):
+        # the inputs of the tests above in one call each, with their bounds
+        p = JacobiParams(0.5, -0.5)
+        lams = np.array([0.5, 1.0, 3.0, 0.4 - 0.8j])
+        assert np.allclose(c_function(p, lams), 1.0 / (1j * lams), rtol=1e-12, atol=0)
+        p = JacobiParams(2.3, 0.7)
+        lams = np.array([300.0, 1000.0 - 0.5j])
+        got = c_function(p, lams)
+        for lam, v in zip(lams, got):
+            with mp.workdps(30):
+                il = 1j * mp.mpc(lam)
+                want = complex(mp.power(2, p.rho - il) * mp.gamma(p.alpha + 1) * mp.gamma(il)
+                               * mp.rgamma((p.rho + il) / 2)
+                               * mp.rgamma((il + p.alpha - p.beta + 1) / 2))
+            assert v == pytest.approx(want, rel=1e-10)
+        p = standard_params
+        # the normalization point, real, complex, a rail, imaginary, large
+        lams = np.array([-1j * p.rho, 7.3, 2.1 + 0.3j, 1.5 + 1j * p.rho, -0.5j, 35.15, -3j])
+        got = c_function(p, lams)
+        assert got[0] == pytest.approx(1.0, abs=1e-12)
+        for lam, v in zip(lams, got):
+            assert v == c_function(p, lam), lam
 
 
 class TestWeight:

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fourierjacobi import JacobiParams, phi, special
+from fourierjacobi import (
+    EvenMeasure,
+    JacobiParams,
+    c_function,
+    forward_transform,
+    forward_transform_measure,
+    gaussian_bump,
+    phi,
+    plancherel_density,
+    special,
+)
 from fourierjacobi.errors import DomainError
 from fourierjacobi.special import (
     euler_integral_2f1,
@@ -68,6 +78,31 @@ class TestGamma:
             with pytest.raises(DomainError):
                 log_gamma(float(n))
             assert gamma_ratio((1.0,), (float(n),)) == 0.0
+
+    def test_array_matches_mpmath(self):
+        # one call on all of the inputs above; the same bounds
+        known = {0.5: math.sqrt(math.pi), 5.0: 24.0, 1.0: 1.0, 7.5: 1871.254305797788}
+        got = np.exp(log_gamma(np.array(list(known))))
+        assert np.allclose(got, list(known.values()), rtol=1e-13, atol=0)
+        ys = np.array([0.5, 1.0, 2.7])
+        got = np.abs(np.exp(log_gamma(1.0 + 1j * ys))) ** 2
+        assert np.allclose(got, np.pi * ys / np.sinh(np.pi * ys), rtol=1e-12, atol=0)
+        zs = np.array([0.2 + 3j, 4.5 - 1j, -2.3 + 0.4j, 0.1 + 300j, 0.2 - 1000j, -5.5 + 40j])
+        diff = log_gamma(zs)
+        for z, d in zip(zs, diff):
+            with mp.workdps(30):
+                want = complex(mp.loggamma(z))
+            k = round((d - want).imag / (2.0 * math.pi))
+            assert abs(d - want - 2j * math.pi * k) < 1e-11 * max(1.0, abs(want))
+        # a pole anywhere in the array raises; a pole of a denominator
+        # factor makes that point's ratio 0 and leaves the others alone
+        with pytest.raises(DomainError):
+            log_gamma(np.array([0.5, -2.0, 3.0]))
+        den = np.array([0.0, -1.0, 2.5, -7.0, 4.0])
+        ratio = gamma_ratio((1.0,), (den,))
+        assert list(ratio[[0, 1, 3]]) == [0.0, 0.0, 0.0]
+        assert ratio[2] == gamma_ratio((1.0,), (2.5,))
+        assert ratio[4] == pytest.approx(1.0 / 6.0, rel=1e-13)
 
     def test_log_gamma_matches_mpmath(self):
         # only defined up to 2 pi i (the library always exponentiates it)
@@ -142,6 +177,34 @@ class TestGauss2F1:
         for lam in (7.3, 35.15, 3j):
             batch = phi(p, lam, ts)
             assert all(phi(p, lam, t) == v for t, v in zip(ts, batch)), lam
+        # one call on every (lambda, t) of a mix of routes: real, complex,
+        # the rails +-i rho, 0, i and 3i (integral a-b), 35.15 (the 1/(1-z)
+        # connection) and a-b = 2 + 1e-9 (mpmath at z <= -4)
+        lams = np.array([7.3, 2.1 + 1.3j, 1.5 + 4j, 1.5 - 4j, 4j, -4j, 0.0, 1j, 3j, 35.15,
+                         (2.0 + 1e-9) * 1j])
+        rows = phi(p, np.repeat(lams, ts.size), np.tile(ts, lams.size)).reshape(lams.size, -1)
+        for lam, row in zip(lams, rows):
+            assert np.array_equal(row, phi(p, lam, ts)), lam
+        a, b = (p.rho - 1j * lams) / 2.0, (p.rho + 1j * lams) / 2.0
+        z = -np.sinh(ts) ** 2
+        grid = gauss_2f1_array(a[:, None], b[:, None], p.alpha + 1.0, z)
+        assert np.array_equal(grid, rows)
+        assert grid.shape == (lams.size, ts.size)
+        # and the quantities built on phi and c, on arrays of lambda
+        f = gaussian_bump(4.0, 129, width=0.7)
+        mu = EvenMeasure(atom0=0.2, atoms=[(0.6, 0.5), (1.7, 0.3)], density=f)
+        for got, one in (
+            (forward_transform(p, f, lams), lambda lam: forward_transform(p, f, lam)),
+            (forward_transform_measure(p, mu, lams),
+             lambda lam: forward_transform_measure(p, mu, lam)),
+        ):
+            assert all(v == one(lam) for lam, v in zip(lams, got))
+        poles = special.is_nonpositive_integer(1j * lams)  # Gamma(i lambda) has a pole
+        got = c_function(p, lams[~poles])
+        assert all(v == c_function(p, lam) for lam, v in zip(lams[~poles], got))
+        real = np.array([0.0, 7.3, 35.15, 0.5, 19.9])
+        got = plancherel_density(p, real)
+        assert all(v == plancherel_density(p, lam) for lam, v in zip(real, got))
 
     @given(
         st.floats(min_value=-30.0, max_value=0.9),

@@ -141,6 +141,29 @@ class TestScan:
         )
         assert report_to_json(rep) == report_to_json(rep)
 
+    def test_scalar_only_member_falls_back(self, scan_setup):
+        # a member that refuses arrays is called point by point; the report
+        # is the one of a family called point by point throughout
+        p, _ = scan_setup
+        grid = StripScanGrid(re_max=3.0, re_n=5, im_margin=0.02, im_n=3)
+        f0 = l10_projection(p)
+        bump = gaussian_bump(8.0, 513, width=0.5)
+
+        def scalar_only(fn):
+            def call(lam):
+                if np.ndim(lam):
+                    raise TypeError("scalar lambda only")
+                return fn(lam)
+            return call
+
+        for g in (f0, bump):
+            whole = [lambda l: forward_transform(p, f0, l), lambda l: forward_transform(p, g, l)]
+            mixed = scan_common_zeros(p, [whole[0], scalar_only(whole[1])], grid, 1e-4)
+            pointwise = scan_common_zeros(p, [scalar_only(h) for h in whole], grid, 1e-4)
+            assert report_to_json(mixed) == report_to_json(pointwise)
+        assert mixed["no_common_zero"]  # the joint family, as above
+        assert scan_common_zeros(p, [lambda l: 1.0], grid, 1e-4)["no_common_zero"]
+
     def test_bad_threshold_rejected(self, scan_setup):
         p, grid = scan_setup
         with pytest.raises(DomainError):

@@ -84,13 +84,9 @@ class TestInversion:
         p = standard_params
         f = gaussian_bump(8.0, 1025, width=1.0)
 
-        def fhat(lams):
-            return np.array(
-                [forward_transform(p, f, complex(x)) for x in np.atleast_1d(lams)]
-            )
-
         ts = np.array([0.0, 0.5, 1.2, 2.5])
-        got = inverse_transform(p, fhat, ts, lambda_max=16.0)
+        got = inverse_transform(p, lambda lams: forward_transform(p, f, lams), ts,
+                                lambda_max=16.0)
         assert np.max(np.abs(got - f(ts))) < 1e-5
 
     def test_tail_estimate_small_for_smooth_bump(self, standard_params):
