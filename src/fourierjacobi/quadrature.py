@@ -13,20 +13,12 @@ import numpy as np
 from .errors import PrecisionError
 
 ABS_TOL = 1e-10  # target of every decay_cutoff truncation
-TAIL_CUTOFF = 30.0  # scale of the caps on decay_cutoff (times 4 or 8)
+TAIL_CUTOFF = 30.0  # cap scale: times 8 on resolvent pairings, times 4 on span_density_demo
 
 
 @lru_cache(maxsize=64)
 def _leggauss(order):
     return np.polynomial.legendre.leggauss(order)
-
-
-def gauss_nodes(a, b, order):
-    """Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = _leggauss(order)
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return mid + half * x, half * w
 
 
 def composite_gauss(func, a, b, n_segments=32, order=10):
@@ -93,13 +85,20 @@ def singular_halfline_nodes(cutoff, seg_len=0.5):
 def decay_cutoff(rate, hi=None):
     """Truncation point, at least 3, for integrands bounded by exp(-rate * t).
 
-    The tail beyond it is below ABS_TOL.
+    The tail beyond it is below ABS_TOL.  A cap hi that would cut the tail
+    short raises PrecisionError carrying the bound exp(-rate * hi) reached
+    there, rather than truncating silently.
     """
     if rate <= 0:
         raise PrecisionError(
             f"decay_cutoff: nonpositive decay rate {rate}; integral not certified"
         )
     t = max(3.0, (np.log(1.0 / ABS_TOL) + 5.0) / rate)
-    if hi is not None:
-        t = min(t, hi)
+    if hi is not None and t > hi:
+        achieved = float(np.exp(-rate * hi))
+        raise PrecisionError(
+            f"decay_cutoff: decay rate {rate:.3g} needs t = {t:.4g} beyond the cap "
+            f"{hi:.4g}; tail bound {achieved:.2e} there",
+            achieved=achieved,
+        )
     return t

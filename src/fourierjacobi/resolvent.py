@@ -12,8 +12,8 @@ import numpy as np
 from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
-from .core import JacobiParams, c_function, phi, phi_second_kind, weight_delta
-from .errors import DomainError
+from .core import JacobiParams, c_function, phi, phi_second_kind, strip_region, weight_delta
+from .errors import DomainError, PrecisionError
 from .grid import GridFunction
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .transform import forward_transform, inverse_transform
@@ -46,32 +46,46 @@ def b_lambda(params: JacobiParams, lam, t, tol=1e-12):
     return complex(out[0]) if scalar else out
 
 
-def _integrable(params: JacobiParams, lam):
-    return complex(lam).imag > params.rho
+def _require_exterior(params: JacobiParams, lam, who):
+    lam = _require_upper(lam)
+    if strip_region(params, lam) != "exterior":
+        raise DomainError(
+            f"{who}: b_lambda not integrable (Im lambda = {lam.imag}, rho = {params.rho})")
+    return lam
+
+
+def _pair(params: JacobiParams, h, g, cutoff, seg_len=0.5):
+    """2 int_0^cutoff h g Delta dt (a numpy scalar); h and g take the node array.
+
+    A product that overflows or turns NaN (Delta outgrowing a decaying h)
+    raises PrecisionError instead of entering the sum.
+    """
+    nodes, weights = singular_halfline_nodes(cutoff, seg_len)
+    hv, gv = h(nodes), g(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = hv * gv * weight_delta(params, nodes)
+    bad = ~np.isfinite(vals)
+    if np.any(bad):
+        raise PrecisionError(f"resolvent pairing: integrand not finite at t = {nodes[bad][0]:.4g}")
+    return 2.0 * np.sum(weights * vals)
 
 
 def b_hat(params: JacobiParams, lam, xi):
     """Quadrature of 2 int_0^oo b_lambda phi_xi Delta; equals 1/(xi^2-lam^2).
 
-    Needs Im lam > rho (L^1 membership) and xi in the strip.
+    Needs Im lam > rho (L^1 membership) and xi in the strip, judged by
+    ``strip_region`` (lam on the rail raises DomainError).  A tail, decaying
+    like exp(-(Im lam - |Im xi|) t), not below ABS_TOL by TAIL_CUTOFF * 8, or
+    an integrand that overflows, raises PrecisionError.
     """
-    lam = _require_upper(lam)
+    lam = _require_exterior(params, lam, "b_hat")
     xi = complex(xi)
-    if not _integrable(params, lam):
-        raise DomainError(
-            f"b_hat: b_lambda not integrable (Im lambda = {lam.imag} <= rho)"
-        )
-    if abs(xi.imag) > params.rho * (1.0 + 1e-12):
+    if strip_region(params, xi) == "exterior":
         raise DomainError(f"b_hat: xi={xi} outside the strip")
-    rate = lam.imag - abs(xi.imag)
-    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 4)
-    nodes, weights = singular_halfline_nodes(cutoff)
-    vals = (
-        b_lambda(params, lam, nodes)
-        * phi(params, xi, nodes)
-        * weight_delta(params, nodes)
-    )
-    return complex(2.0 * np.sum(weights * vals))
+    cutoff = decay_cutoff(lam.imag - abs(xi.imag), hi=TAIL_CUTOFF * 8)
+    return complex(_pair(
+        params, lambda t: b_lambda(params, lam, t), lambda t: phi(params, xi, t), cutoff
+    ))
 
 
 def b_hat_exact(lam, xi):
@@ -82,17 +96,15 @@ def b_hat_exact(lam, xi):
 
 
 def b_l1_norm(params: JacobiParams, lam):
-    """Weighted L1 norm of b_lambda; finite iff Im lambda > rho."""
-    lam = _require_upper(lam)
-    if not _integrable(params, lam):
-        raise DomainError(
-            f"b_l1_norm: not integrable (Im lambda = {lam.imag} <= rho)"
-        )
-    rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
-    nodes, weights = singular_halfline_nodes(cutoff)
-    vals = np.abs(b_lambda(params, lam, nodes)) * weight_delta(params, nodes)
-    return float(2.0 * np.sum(weights * vals))
+    """Weighted L1 norm of b_lambda; finite iff Im lambda > rho.
+
+    Rail, tail and overflow rules as in ``b_hat``, at decay rate Im lam - rho.
+    """
+    lam = _require_exterior(params, lam, "b_l1_norm")
+    cutoff = decay_cutoff(lam.imag - params.rho, hi=TAIL_CUTOFF * 8)
+    return float(_pair(
+        params, lambda t: np.abs(b_lambda(params, lam, t)), lambda t: 1.0, cutoff
+    ))
 
 
 def _fd1(func, t, h):
@@ -141,7 +153,7 @@ class TLambdaOperator:
 
     def __init__(self, params: JacobiParams, f: GridFunction, lam, n_grid=8001):
         lam = complex(lam)
-        if not (0.0 < lam.imag < params.rho):
+        if lam.imag <= 0.0 or strip_region(params, lam) != "interior":
             raise DomainError(
                 f"TLambdaOperator requires 0 < Im lambda < rho, got {lam}"
             )
@@ -191,16 +203,17 @@ def t_lambda(params: JacobiParams, f: GridFunction, lam, t):
 def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
     """Transform of T_lambda f at xi by direct singular-aware quadrature.
 
-    Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).
+    Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).  op_or_f is f or
+    a TLambdaOperator built at lam (built elsewhere raises DomainError).
     """
     if isinstance(op_or_f, TLambdaOperator):
         op = op_or_f
+        if complex(lam) != op.lam:
+            raise DomainError(f"t_lambda_hat: operator built at {op.lam}, not at {lam}")
     else:
         op = TLambdaOperator(params, op_or_f, lam)
     xi = complex(xi)
-    nodes, weights = singular_halfline_nodes(op.f.tmax, seg_len=0.25)
-    vals = op(nodes) * phi(params, xi, nodes) * weight_delta(params, nodes)
-    return complex(2.0 * np.sum(weights * vals))
+    return complex(_pair(params, op, lambda t: phi(params, xi, t), op.f.tmax, seg_len=0.25))
 
 
 def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,

@@ -193,8 +193,8 @@ def suite_tlambda(config: RunConfig):
     lam = 0.5 + 0.6j * p.rho
     op = TLambdaOperator(p, f, lam)
     pts = np.array([0.5, 1.5, 3.0])
-    direct = np.array([op(t) for t in pts])
-    conv = np.array([convolve_b_spectral(p, f, lam, t) for t in pts])
+    direct = op(pts)
+    conv = convolve_b_spectral(p, f, lam, pts)
     defn = op.fhat_lam * b_lambda(p, lam, pts) - conv
     # normalize by |f * b| rather than |T f|: the latter is dominated near
     # t = 0 by the fhat(lam) b(t) term common to both formulas

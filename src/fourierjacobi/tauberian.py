@@ -13,10 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, _on_array, weight_delta
+from .core import JacobiParams, _on_array, strip_region, weight_delta
 from .errors import DomainError, PrecisionError
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
-from .resolvent import TLambdaOperator, b_lambda
+from .resolvent import TLambdaOperator, _pair, _require_exterior, b_lambda
 
 _IRHO_RADIUS = 0.25  # zeros this close to +-i rho are the expected ones (mean-zero f, mass-1 mu)
 _COND_LIMIT = 1e12  # span_density_demo solves Gram systems past this by truncated SVD
@@ -153,22 +153,31 @@ def scan_common_zeros(params: JacobiParams, transforms, grid: StripScanGrid, thr
     }
 
 
-def _pair_exterior(params, g, lam):
-    rate = lam.imag - params.rho
-    cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
-    g_tmax = getattr(g, "tmax", None)
-    if g_tmax is not None:
-        cutoff = min(cutoff, g_tmax)
-    nodes, weights = singular_halfline_nodes(cutoff)
-    vals = (
-        b_lambda(params, lam, nodes)
-        * np.asarray(g(nodes), dtype=complex)
-        * weight_delta(params, nodes)
-    )
-    return complex(2.0 * np.sum(weights * vals))
+def resolvent_transform(params: JacobiParams, g, f, lam):
+    """Two-branch resolvent transform <h, g> with h chosen by Im lambda.
 
-
-def _pair_interior(params, g, f, lam):
+    Exterior (Im lambda > rho): h = b_lambda, pairing 2 int b g Delta up
+    to g's support bound tmax if any, with ``b_l1_norm``'s tail rule.
+    Interior (0 < Im lambda < rho): h = T_lambda f / fhat(lambda).
+    The pairing weight is Delta because bounded g is the dual of the
+    weighted L^1 algebra.  The rail (``strip_region``'s "boundary") belongs
+    to neither branch and raises DomainError; an uncertified tail, an
+    overflow or |fhat(lambda)| <= 1e-10 raises PrecisionError.
+    """
+    lam = complex(lam)
+    if lam.imag <= 0:
+        raise DomainError("resolvent_transform: requires Im lambda > 0")
+    region = strip_region(params, lam)
+    if region == "boundary":
+        raise DomainError(
+            f"resolvent_transform: Im lambda = rho = {params.rho} is on the "
+            "branch seam (neither formula applies)"
+        )
+    if region == "exterior":
+        # a support that ends below the cap ends the integral before it
+        g_tmax, cap = getattr(g, "tmax", np.inf), TAIL_CUTOFF * 8
+        cutoff = min(decay_cutoff(lam.imag - params.rho, hi=None if g_tmax <= cap else cap), g_tmax)
+        return complex(_pair(params, lambda t: b_lambda(params, lam, t), g, cutoff))
     if f is None:
         raise DomainError(
             "resolvent_transform: interior branch needs the generator f"
@@ -180,31 +189,7 @@ def _pair_interior(params, g, f, lam):
             f"{abs(op.fhat_lam):.3e} at lambda={lam}",
             achieved=abs(op.fhat_lam),
         )
-    nodes, weights = singular_halfline_nodes(f.tmax, seg_len=0.25)
-    vals = op(nodes) * np.asarray(g(nodes), dtype=complex) * weight_delta(params, nodes)
-    return complex(2.0 * np.sum(weights * vals) / op.fhat_lam)
-
-
-def resolvent_transform(params: JacobiParams, g, f, lam):
-    """Two-branch resolvent transform <h, g> with h chosen by Im lambda.
-
-    Exterior (Im lambda > rho): h = b_lambda, pairing 2 int b g Delta.
-    Interior (0 < Im lambda < rho): h = T_lambda f / fhat(lambda).
-    The pairing weight is Delta because bounded g is the dual of the
-    weighted L^1 algebra.  Im lambda = rho belongs to neither branch.
-    """
-    lam = complex(lam)
-    region = lam.imag - params.rho
-    if abs(region) <= 1e-12:
-        raise DomainError(
-            f"resolvent_transform: Im lambda = rho = {params.rho} is on the "
-            "branch seam (neither formula applies)"
-        )
-    if lam.imag <= 0:
-        raise DomainError("resolvent_transform: requires Im lambda > 0")
-    if region > 0:
-        return _pair_exterior(params, g, lam)
-    return _pair_interior(params, g, f, lam)
+    return complex(_pair(params, op, g, f.tmax, seg_len=0.25) / op.fhat_lam)
 
 
 def cauchy_riemann_residual(func, lam, h=1e-4):
@@ -230,13 +215,12 @@ def span_density_demo(params: JacobiParams, target, lambdas):
             "span_density_demo: target must carry a support bound tmax "
             "(an unbounded-support target is not in the weighted L^1 space)"
         )
-    lambdas = [complex(x) for x in lambdas]
+    lambdas = [_require_exterior(params, x, "span_density_demo") for x in lambdas]
     if len(lambdas) < 2:
         raise DomainError("span_density_demo: need at least 2 lambdas")
-    if any(x.imag <= params.rho for x in lambdas):
-        raise DomainError("span_density_demo: all lambdas need Im lambda > rho")
+    # the merit is a surrogate, so its tail is capped without certification
     slowest = min(x.imag for x in lambdas) - params.rho
-    cutoff = max(float(tmax), decay_cutoff(slowest, hi=TAIL_CUTOFF * 4))
+    cutoff = max(float(tmax), min(decay_cutoff(slowest), TAIL_CUTOFF * 4))
     nodes, weights = singular_halfline_nodes(cutoff)
     sqw = np.sqrt(weights * weight_delta(params, nodes))
     y = np.asarray(

@@ -60,3 +60,10 @@ def test_decay_cutoff_scales_with_rate():
 def test_decay_cutoff_rejects_nonpositive_rate():
     with pytest.raises(PrecisionError):
         decay_cutoff(0.0)
+
+
+def test_decay_cutoff_cap_raises_when_it_binds():
+    assert decay_cutoff(2.0, hi=240.0) == decay_cutoff(2.0)
+    with pytest.raises(PrecisionError) as err:
+        decay_cutoff(0.01, hi=240.0)
+    assert err.value.achieved == pytest.approx(np.exp(-2.4))

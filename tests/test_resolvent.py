@@ -14,6 +14,7 @@ from fourierjacobi import (
     b_lambda,
     forward_transform,
     gaussian_bump,
+    resolvent_transform,
     t_lambda,
     t_lambda_hat,
     wronskian_bracket,
@@ -61,6 +62,36 @@ class TestBHat:
     def test_l1_norm_rejected_inside_strip(self, standard_params):
         with pytest.raises(DomainError):
             b_l1_norm(standard_params, 0.5j * standard_params.rho)
+
+    def test_overflowing_integrand_raises(self):
+        # rho = 4: Delta overflows near t = 89, short of the cutoff 140,
+        # where b_lambda has underflowed; inf * 0 must not become the norm
+        with pytest.raises(PrecisionError):
+            b_l1_norm(JacobiParams(2.3, 0.7), 1.0 + 4.2j)
+
+    def test_capped_tail_raises(self):
+        # rate Im lam - |Im xi| = 0.011 needs t ~ 2,500; the cap at 240
+        # leaves exp(-2.64) of the tail, a 27 % miss when cut silently
+        with pytest.raises(PrecisionError) as err:
+            b_hat(JacobiParams(0.5, -0.5), 1.01j, 0.999j)
+        assert err.value.achieved == pytest.approx(np.exp(-0.011 * 240.0))
+
+
+def test_rail_is_one_rule():
+    # within STRIP_TIE_TOL of Im lambda = rho every resolvent entry point
+    # sees the rail, from either side
+    p = JacobiParams(0.5, -0.5)
+    f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+    below, above = 1j * (p.rho - 5e-13), 1j * (p.rho + 5e-13)
+    with pytest.raises(DomainError):
+        TLambdaOperator(p, f, below)
+    with pytest.raises(DomainError):
+        b_hat(p, above, 0.0)
+    with pytest.raises(DomainError):
+        b_l1_norm(p, above)
+    for lam in (below, above):
+        with pytest.raises(DomainError):
+            resolvent_transform(p, np.cos, f, lam)
 
 
 class TestWronskian:
@@ -114,6 +145,13 @@ class TestTLambda:
     def test_scalar_entry_point(self, setup):
         p, f, lam, op = setup
         assert t_lambda(p, f, lam, 1.3) == pytest.approx(op(1.3), rel=1e-10)
+
+    def test_operator_built_at_another_lambda_rejected(self):
+        p = JacobiParams(0.5, -0.5)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        op = TLambdaOperator(p, f, 0.5j)
+        with pytest.raises(DomainError):
+            t_lambda_hat(p, op, 0.3j, 1.0)
 
     def test_requires_interior_lambda(self):
         p = JacobiParams(1.0, 0.0)

@@ -18,7 +18,9 @@ from fourierjacobi import (
     resolvent_transform,
     scan_common_zeros,
     span_density_demo,
+    weight_delta,
 )
+from fourierjacobi.quadrature import integrate
 from fourierjacobi.suites import l10_projection
 
 
@@ -203,6 +205,24 @@ class TestResolventGlue:
         zero = type(zero)(zero.tmax, np.zeros_like(zero.values))
         with pytest.raises(PrecisionError):
             resolvent_transform(p, _g_one, zero, 0.5j)
+
+    def test_capped_tail_raises(self, glue_setup):
+        # 0.01 above the rail the tail needs t ~ 2,800; cut at the cap of
+        # 240 the value missed -1/(lam^2 + rho^2) by 9 %
+        p, _ = glue_setup
+        with pytest.raises(PrecisionError):
+            resolvent_transform(p, _g_one, None, 1.01j)
+
+    def test_compact_g_pairs_over_its_support(self, glue_setup):
+        # a support bound ends the integral, so no tail cap applies
+        p, _ = glue_setup
+        g = gaussian_bump(4.0, 257, width=0.6, center=1.0)
+        lam = 1.01j
+        got = resolvent_transform(p, g, None, lam)
+        want = 2.0 * integrate(
+            lambda t: b_lambda(p, lam, t) * g(t) * weight_delta(p, t), 0.0, g.tmax
+        )
+        assert got == pytest.approx(want, rel=1e-6)
 
     def test_exterior_reflection_symmetry(self, rank_one):
         # -1/(lam^2 + rho^2) conjugates when Re lam flips sign
