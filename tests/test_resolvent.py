@@ -14,9 +14,12 @@ from fourierjacobi import (
     b_lambda,
     forward_transform,
     gaussian_bump,
+    phi,
+    phi_second_kind,
     resolvent_transform,
     t_lambda,
     t_lambda_hat,
+    weight_delta,
     wronskian_bracket,
     wronskian_exact,
 )
@@ -103,6 +106,22 @@ class TestWronskian:
             wronskian_exact(standard_params, lam), rel=1e-5
         )
 
+    def test_one_call_matches_scalar_calls(self, standard_params):
+        # a point's phi does not depend on its batch, so evaluating the
+        # stencil in one call changes no bit of the bracket
+        p, lam, t, h = standard_params, 0.8 + 0.4j, 0.45, 1e-3
+        offsets = np.array([-2.0, -1.0, 1.0, 2.0])
+        stencil = np.array([1.0, -8.0, 8.0, -1.0]) / 12.0
+
+        def fd1(func):
+            half = np.dot(stencil, [func(p, lam, t + o * 0.5 * h) for o in offsets]) / (0.5 * h)
+            return (16.0 * half - np.dot(stencil, [func(p, lam, t + o * h) for o in offsets]) / h) / 15.0
+
+        want = weight_delta(p, t) * (
+            phi(p, lam, t) * fd1(phi_second_kind) - fd1(phi) * phi_second_kind(p, lam, t)
+        )
+        assert wronskian_bracket(p, lam, t) == want
+
     def test_seeded_spread(self, standard_params, rng):
         p = standard_params
         for _ in range(3):
@@ -130,7 +149,7 @@ class TestTLambda:
             want = (op.fhat_lam - forward_transform(p, f, xi)) / (
                 xi**2 - lam**2
             )
-            assert got == pytest.approx(want, rel=1e-6)
+            assert got == pytest.approx(want, rel=1e-8)
 
     def test_fhat_cached_value(self, setup):
         p, f, lam, op = setup
@@ -145,6 +164,22 @@ class TestTLambda:
     def test_scalar_entry_point(self, setup):
         p, f, lam, op = setup
         assert t_lambda(p, f, lam, 1.3) == pytest.approx(op(1.3), rel=1e-10)
+
+    def test_fhat_lam_matches_graded_gauss(self):
+        # alpha = -1/4: Delta ~ t^(1/2) at 0, where a rule in t loses order;
+        # in s = sqrt(t/tmax) the integrand f phi Delta dt/ds is smooth between
+        # f's knots, so Gauss-Legendre there is the reference
+        p = JacobiParams(-0.25, -0.5)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        x, w = np.polynomial.legendre.leggauss(12)
+        edges = np.sqrt(np.linspace(0.0, 1.0, len(f.values)))
+        half = 0.5 * np.diff(edges)
+        s = ((edges[:-1] + half)[:, None] + half[:, None] * x).ravel()
+        t = f.tmax * s * s
+        base = 4.0 * f.tmax * (half[:, None] * w).ravel() * s * f(t) * weight_delta(p, t)
+        for lam in (0.1j, 0.3 + 0.05j, 1.1 + 0.2j):
+            want = np.sum(base * phi(p, lam, t))
+            assert TLambdaOperator(p, f, lam).fhat_lam == pytest.approx(want, rel=1e-8)
 
     def test_operator_built_at_another_lambda_rejected(self):
         p = JacobiParams(0.5, -0.5)

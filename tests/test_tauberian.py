@@ -189,6 +189,17 @@ class TestResolventGlue:
             got = resolvent_transform(p, _g_one, f0, lam)
             assert got == pytest.approx(-1.0 / (lam**2 + p.rho**2), rel=1e-3)
 
+    @pytest.mark.parametrize("ab", [(2.3, 0.7), (1.2, 1.2), (3.0, -0.5), (1.0, 0.0)])
+    def test_interior_matches_transform_ratio(self, ab):
+        # g = 1 = phi_{i rho}, so <T_lam f, 1> / fhat(lam) is
+        # (1 - fhat(i rho)/fhat(lam)) / -(lam^2 + rho^2)
+        p = JacobiParams(*ab)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        for lam in (0.4 + 0.3j * p.rho, 1.6 + 0.7j * p.rho):
+            ratio = forward_transform(p, f, 1j * p.rho) / forward_transform(p, f, lam)
+            want = (1.0 - ratio) / -(lam**2 + p.rho**2)
+            assert resolvent_transform(p, _g_one, f, lam) == pytest.approx(want, rel=1e-6)
+
     def test_seam_rejected(self, glue_setup):
         p, f0 = glue_setup
         with pytest.raises(DomainError):
