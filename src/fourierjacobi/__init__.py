@@ -14,7 +14,6 @@ from .core import (
     apply_cherednik_T,
     c_function,
     heckman_opdam_g,
-    in_strip,
     phi,
     phi_dx_at_rho,
     phi_second_kind,
@@ -102,7 +101,6 @@ __all__ = [
     "gaussian_bump",
     "harmonic_step",
     "heckman_opdam_g",
-    "in_strip",
     "inverse_transform",
     "inversion_tail_estimate",
     "iterate_and_report",

@@ -11,6 +11,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .core import (
     JacobiParams,
     c_function,
@@ -98,32 +100,21 @@ def build_parser():
 def _eval_rows(args):
     params = JacobiParams(args.alpha, args.beta)
     lam = _parse_lambda(args.lam)
-    ts = _parse_t_list(args.t)
+    ts = np.array(_parse_t_list(args.t))
     if args.kind == "c":
         v = c_function(params, lam)
         return ["re", "im"], [[v.real, v.imag]]
-    rows = []
-
-    def _chop(v):
-        # values that are real up to roundoff print as exactly real
-        if abs(v.imag) < 1e-9 * max(1.0, abs(v.real)):
-            return complex(v.real, 0.0)
-        return v
-
-    for t in ts:
-        if args.kind == "phi":
-            v = complex(phi(params, lam, t, args.tol))
-        elif args.kind == "Phi":
-            v = complex(phi_second_kind(params, lam, t, args.tol))
-        elif args.kind == "G":
-            v = complex(heckman_opdam_g(params, lam, t, args.tol))
-        elif args.kind == "delta-weight":
-            v = complex(weight_delta(params, t))
-        else:  # b
-            v = complex(b_lambda(params, lam, t, args.tol))
-        v = _chop(v)
-        rows.append([t, v.real, v.imag])
-    return ["t", "re", "im"], rows
+    kinds = {
+        "phi": lambda: phi(params, lam, ts, args.tol),
+        "Phi": lambda: phi_second_kind(params, lam, ts, args.tol),
+        "G": lambda: heckman_opdam_g(params, lam, ts, args.tol),
+        "delta-weight": lambda: weight_delta(params, ts),
+        "b": lambda: b_lambda(params, lam, ts, args.tol),
+    }
+    vals = np.array(kinds[args.kind](), dtype=complex)
+    # values that are real up to roundoff print as exactly real
+    vals.imag[np.abs(vals.imag) < 1e-9 * np.maximum(1.0, np.abs(vals.real))] = 0.0
+    return ["t", "re", "im"], [[t, v.real, v.imag] for t, v in zip(ts.tolist(), vals.tolist())]
 
 
 def _emit_table(header, rows, out):

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError
 from .special import (
+    _at,
     gamma_ratio,
     gauss_2f1_array,
     hyp2f1_near_one,
@@ -99,23 +100,23 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     return complex(out[0]) if lam.ndim == t.ndim == 0 else out
 
 
-def _phi_rows(params: JacobiParams, lam, t):
-    """phi at every (lambda, t) of a lambda array and a 1-d t: shape lam.shape + t.shape.
+def _phi_rows(params: JacobiParams, lam, t, kind=phi):
+    """kind at every (lambda, t) of a lambda array and a 1-d t: shape lam.shape + t.shape.
 
-    Rows of lambda go to ``phi`` as equal-length 1-d arrays, in chunks of
-    whole rows of at most ``_BATCH_POINTS`` points (one row at least); a
-    scalar lambda is one ``phi`` call on t.
+    kind is ``phi``, ``phi_second_kind`` or ``b_lambda``.  Rows of lambda go
+    to it as equal-length 1-d arrays, in chunks of whole rows of at most
+    ``_BATCH_POINTS`` points (one row at least); a scalar lambda is one call.
     """
     lam = np.asarray(lam, dtype=complex)
     t = np.asarray(t, dtype=float)
     if lam.ndim == 0:
-        return phi(params, lam, t)
+        return kind(params, lam, t)
     flat = lam.ravel()
     out = np.empty((flat.size, t.size), dtype=complex)
     rows = max(1, _BATCH_POINTS // max(t.size, 1))
     for k in range(0, flat.size, rows):
         part = flat[k:k + rows]
-        out[k:k + rows] = phi(params, np.repeat(part, t.size), np.tile(t, part.size)).reshape(
+        out[k:k + rows] = kind(params, np.repeat(part, t.size), np.tile(t, part.size)).reshape(
             part.size, t.size)
     return out.reshape(lam.shape + t.shape)
 
@@ -131,29 +132,35 @@ def _on_array(func, xs):
     return np.array([complex(func(x)) for x in xs], dtype=complex)
 
 
-def _forbidden_second_kind(lam):
+def _second_kind_points(lam, t):
+    """(lam, t, shape) of Phi, checked and flattened; a scalar lam stays 0-d, shape None if both are."""
+    lam = np.asarray(lam, dtype=complex)
+    t = np.asarray(t, dtype=float)
     # lambda in {-i, -2i, ...} makes c = 1 - i*lambda a nonpositive integer
-    return is_nonpositive_integer(1.0 - 1j * complex(lam))
+    bad = is_nonpositive_integer(1.0 - 1j * lam)
+    if bad.any():
+        raise DomainError(f"phi_second_kind: lambda={complex(lam[bad][0])} in the excluded set -iN")
+    if np.any(t <= 0):
+        raise DomainError("phi_second_kind requires t > 0")
+    shape = np.broadcast(lam, t).shape or None
+    if lam.ndim:
+        lam, t = (np.broadcast_to(v, shape).ravel() for v in (lam, t))
+    return lam, np.atleast_1d(t).ravel(), shape
 
 
 def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     """Second-kind solution Phi_lam on (0, oo), singular at t = 0.
 
     Phi_lam(t) = (2 cosh t)^(i lam - rho) 2F1(a, b; 1 - i lam; cosh^-2 t).
-    Below t = 0.7 the 1-z connection expansion (argument tanh^2 t, with the
-    logarithmic case at integer alpha) serves the points where
-    ``series_safe`` certifies its series, that is while 2 sqrt|a b| tanh t
-    stays below ln(tol/eps).  Every other point takes the cosh^-2 t form
-    through ``gauss_2f1_array`` (routes in ``special._routes``).
+    lam and t broadcast together as in ``phi``; a point's value does not
+    depend on the points that share the call.  Below t = 0.7 the 1-z
+    connection expansion (argument tanh^2 t, with the logarithmic case at
+    integer alpha) serves the points where ``series_safe`` certifies its
+    series, that is while 2 sqrt|a b| tanh t stays below ln(tol/eps).  Every
+    other point takes the cosh^-2 t form through ``gauss_2f1_array`` (routes
+    in ``special._routes``).
     """
-    lam = complex(lam)
-    if _forbidden_second_kind(lam):
-        raise DomainError(f"phi_second_kind: lambda={lam} in the excluded set -iN")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(t <= 0):
-        raise DomainError("phi_second_kind requires t > 0")
+    lam, t, shape = _second_kind_points(lam, t)
     rho = params.rho
     a = (rho - 1j * lam) / 2.0
     b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
@@ -162,26 +169,20 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     near = (t < _PHI2K_SPLIT) & series_safe(a, b, w, tol)
     out = np.empty(t.shape, dtype=complex)
     if np.any(near):
-        out[near] = hyp2f1_near_one(a, b, c, w[near], tol)
-    if not np.all(near):
-        out[~near] = gauss_2f1_array(a, b, c, np.cosh(t[~near]) ** -2.0, tol)
+        out[near] = hyp2f1_near_one(_at(a, near), _at(b, near), _at(c, near), w[near], tol)
+    far = ~near
+    if np.any(far):
+        out[far] = gauss_2f1_array(_at(a, far), _at(b, far), _at(c, far), np.cosh(t[far]) ** -2.0, tol)
     # not in place: numpy multiplies a lone complex in place by other
     # rounding than in a longer array, and a point's value must not
     # depend on its batch
     out = out * np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if shape is None else out.reshape(shape)
 
 
 def phi_second_kind_sinh_form(params: JacobiParams, lam, t, tol=1e-12):
     """Alternative sinh-form of Phi_lam; cross-check oracle for moderate t."""
-    lam = complex(lam)
-    if _forbidden_second_kind(lam):
-        raise DomainError(f"phi_second_kind: lambda={lam} in the excluded set -iN")
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    if np.any(t <= 0):
-        raise DomainError("phi_second_kind requires t > 0")
+    lam, t, shape = _second_kind_points(lam, t)
     rho = params.rho
     a = (rho - 1j * lam) / 2.0
     b = (params.beta - params.alpha + 1.0 - 1j * lam) / 2.0
@@ -189,7 +190,7 @@ def phi_second_kind_sinh_form(params: JacobiParams, lam, t, tol=1e-12):
     z = -np.sinh(t) ** -2.0
     pref = np.exp((1j * lam - rho) * np.log(2.0 * np.sinh(t)))
     out = pref * gauss_2f1_array(a, b, c, z, tol)
-    return complex(out[0]) if scalar else out
+    return complex(out[0]) if shape is None else out.reshape(shape)
 
 
 def c_function(params: JacobiParams, lam):
@@ -293,38 +294,13 @@ def apply_cherednik_T(params: JacobiParams, f, t, h=_FD_H):
 def phi_dx_at_rho(params: JacobiParams, t, h=1e-4, tol=1e-12):
     """d/dx phi_{ix}(t) at x = rho, by Richardson-extrapolated differences.
 
-    Strictly positive for t > 0.
+    Strictly positive for t > 0.  One ``phi`` call on the four lambda.
     """
     t = float(t)
     if t <= 0:
         raise DomainError("phi_dx_at_rho requires t > 0")
-
-    def diff(step):
-        hi = phi(params, 1j * (params.rho + step), t, tol).real
-        lo = phi(params, 1j * (params.rho - step), t, tol).real
-        return (hi - lo) / (2.0 * step)
-
-    d_h = diff(h)
-    d_h2 = diff(h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
-def phi_dx_at_rho_closed_form(params: JacobiParams, t, n_nodes=80, tol=1e-12):
-    """Closed-form route to d/dx phi_{ix}(t)|_{x=rho}.
-
-    Integrates g'(u) = rho sinh(2u)/(2(alpha+1)) 2F1(rho+1, 1; alpha+2;
-    -sinh^2 u) from 0 to t (the chain-rule form of the parameter
-    derivative; the finite-difference value is the ground truth it is
-    checked against).
-    """
-    t = float(t)
-    if t <= 0:
-        raise DomainError("phi_dx_at_rho requires t > 0")
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
-    u = 0.5 * t * (x + 1.0)
-    wu = 0.5 * t * w
-    vals = gauss_2f1_array(
-        params.rho + 1.0, 1.0, params.alpha + 2.0, -np.sinh(u) ** 2, tol
-    ).real
-    integrand = params.rho * np.sinh(2.0 * u) / (2.0 * (params.alpha + 1.0)) * vals
-    return float(np.sum(wu * integrand))
+    lams = 1j * (params.rho + np.array([h, -h, h / 2.0, -h / 2.0]))
+    hi, lo, hi2, lo2 = phi(params, lams, t, tol).real
+    d_h = (hi - lo) / (2.0 * h)
+    d_h2 = (hi2 - lo2) / (2.0 * (h / 2.0))
+    return float((4.0 * d_h2 - d_h) / 3.0)

@@ -12,50 +12,57 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .core import JacobiParams, c_function, phi, phi_second_kind, strip_region, weight_delta
+from .core import (JacobiParams, _phi_rows, c_function, in_strip, phi, phi_second_kind,
+                   strip_region, weight_delta)
 from .errors import DomainError, PrecisionError
 from .grid import GridFunction
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
-from .transform import forward_transform, inverse_transform
+from .special import _at, _runs, _spread
+from .transform import _strip_lambda, forward_transform, inverse_transform
 
 
 def _require_upper(lam):
-    lam = complex(lam)
-    if lam.imag <= 0:
-        raise DomainError(f"b_lambda requires Im lambda > 0, got {lam}")
+    lam = np.asarray(lam, dtype=complex)
+    low = lam.imag <= 0
+    if low.any():
+        raise DomainError(f"b_lambda requires Im lambda > 0, got {complex(lam[low][0])}")
     return lam
 
 
 def b_prefactor(params: JacobiParams, lam):
+    """i / (4 lambda c(-lambda)), elementwise over an array lam."""
     lam = _require_upper(lam)
-    cm = c_function(params, -lam)
-    if abs(cm) < 1e-14:
-        raise DomainError(f"b_lambda: c(-lambda) vanishes at lambda={lam}")
-    return 1j / (4.0 * lam * cm)
+    cm = np.asarray(c_function(params, -lam))
+    zero = np.abs(cm) < 1e-14
+    if zero.any():
+        raise DomainError(f"b_lambda: c(-lambda) vanishes at lambda={complex(lam[zero][0])}")
+    # object dtype: Python's complex arithmetic, so an array rounds as a scalar does
+    return np.asarray(1j / (4.0 * lam.astype(object) * cm.astype(object)), dtype=complex)[()]
 
 
 def b_lambda(params: JacobiParams, lam, t, tol=1e-12):
-    """b_lambda(t) for Im lambda > 0 and t != 0; even in t."""
-    lam = _require_upper(lam)
+    """b_lambda(t) for Im lambda > 0 and t != 0; even in t, broadcast as ``phi_second_kind``."""
+    lam = np.asarray(lam, dtype=complex)
+    (values,), run = _runs(lam.ravel() if lam.ndim else lam)
+    pre = _spread(b_prefactor(params, values), run).reshape(lam.shape)  # refuses Im lam <= 0
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t_arr = np.abs(np.atleast_1d(t))
-    if np.any(t_arr == 0.0):
+    if np.any(t == 0.0):
         raise DomainError("b_lambda is undefined at t = 0")
-    out = b_prefactor(params, lam) * phi_second_kind(params, lam, t_arr, tol)
-    return complex(out[0]) if scalar else out
+    out = pre * phi_second_kind(params, lam, np.abs(np.atleast_1d(t)), tol)
+    return complex(out[0]) if lam.ndim == t.ndim == 0 else out
 
 
 def _require_exterior(params: JacobiParams, lam, who):
     lam = _require_upper(lam)
-    if strip_region(params, lam) != "exterior":
+    inside = in_strip(params, lam)
+    if inside.any():
         raise DomainError(
-            f"{who}: b_lambda not integrable (Im lambda = {lam.imag}, rho = {params.rho})")
+            f"{who}: b_lambda not integrable (Im lambda = {lam[inside][0].imag}, rho = {params.rho})")
     return lam
 
 
 def _pair(params: JacobiParams, h, g, cutoff, seg_len=0.5):
-    """2 int_0^cutoff h g Delta dt (a numpy scalar); h and g take the node array.
+    """2 int_0^cutoff h g Delta dt; h and g take the node array, g one row per integrand.
 
     A product that overflows or turns NaN (Delta outgrowing a decaying h)
     raises PrecisionError instead of entering the sum.
@@ -66,8 +73,9 @@ def _pair(params: JacobiParams, h, g, cutoff, seg_len=0.5):
         vals = hv * gv * weight_delta(params, nodes)
     bad = ~np.isfinite(vals)
     if np.any(bad):
-        raise PrecisionError(f"resolvent pairing: integrand not finite at t = {nodes[bad][0]:.4g}")
-    return 2.0 * np.sum(weights * vals)
+        at = nodes[bad.nonzero()[-1][0]]
+        raise PrecisionError(f"resolvent pairing: integrand not finite at t = {at:.4g}")
+    return 2.0 * np.sum(weights * vals, axis=-1)
 
 
 def b_hat(params: JacobiParams, lam, xi):
@@ -76,16 +84,19 @@ def b_hat(params: JacobiParams, lam, xi):
     Needs Im lam > rho (L^1 membership) and xi in the strip, judged by
     ``strip_region`` (lam on the rail raises DomainError).  A tail, decaying
     like exp(-(Im lam - |Im xi|) t), not below ABS_TOL by TAIL_CUTOFF * 8, or
-    an integrand that overflows, raises PrecisionError.
+    an integrand that overflows, raises PrecisionError.  xi may be an array:
+    the xi that share |Im xi| share one cutoff and one pairing.
     """
-    lam = _require_exterior(params, lam, "b_hat")
-    xi = complex(xi)
-    if strip_region(params, xi) == "exterior":
-        raise DomainError(f"b_hat: xi={xi} outside the strip")
-    cutoff = decay_cutoff(lam.imag - abs(xi.imag), hi=TAIL_CUTOFF * 8)
-    return complex(_pair(
-        params, lambda t: b_lambda(params, lam, t), lambda t: phi(params, xi, t), cutoff
-    ))
+    lam = complex(_require_exterior(params, lam, "b_hat"))
+    xi = _strip_lambda(params, xi, "b_hat: xi")
+    rates = lam.imag - np.abs(xi.imag)
+    out = np.empty(xi.shape, dtype=complex)
+    for rate in np.unique(rates):
+        at = rates == rate
+        cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
+        out[at] = _pair(params, lambda t: b_lambda(params, lam, t),
+                        lambda t: _phi_rows(params, _at(xi, at), t), cutoff)
+    return complex(out) if xi.ndim == 0 else out
 
 
 def b_hat_exact(lam, xi):
@@ -100,7 +111,7 @@ def b_l1_norm(params: JacobiParams, lam):
 
     Rail, tail and overflow rules as in ``b_hat``, at decay rate Im lam - rho.
     """
-    lam = _require_exterior(params, lam, "b_l1_norm")
+    lam = complex(_require_exterior(params, lam, "b_l1_norm"))
     cutoff = decay_cutoff(lam.imag - params.rho, hi=TAIL_CUTOFF * 8)
     return float(_pair(
         params, lambda t: np.abs(b_lambda(params, lam, t)), lambda t: 1.0, cutoff
@@ -171,13 +182,10 @@ class TLambdaOperator:
         delta = weight_delta(params, ts)
         fv = np.asarray(f(ts), dtype=complex)
         phv = phi(params, lam, ts)
-        bv = np.empty(n_grid, dtype=complex)
-        bv[1:] = b_lambda(params, lam, ts[1:])
-        bv[0] = 0.0  # only ever used multiplied by Delta ~ t^(2a+1)
         g1 = fv * phv * delta
         g2 = fv * delta
-        g2[1:] *= bv[1:]
-        g2[0] = 0.0  # f b Delta -> 0 like t
+        g2[1:] *= b_lambda(params, lam, ts[1:])
+        g2[0] = 0.0  # f b Delta -> 0 like t; b is singular at 0
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
         # normalization, same as the transform): I(t) = total - cum(0..t),
         # with cum integrated in s (dt = 2 tmax s ds)
@@ -214,6 +222,7 @@ def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
 
     Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).  op_or_f is f or
     a TLambdaOperator built at lam (built elsewhere raises DomainError).
+    xi may be an array: T_lambda f is evaluated once for all of them.
     """
     if isinstance(op_or_f, TLambdaOperator):
         op = op_or_f
@@ -221,8 +230,9 @@ def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
             raise DomainError(f"t_lambda_hat: operator built at {op.lam}, not at {lam}")
     else:
         op = TLambdaOperator(params, op_or_f, lam)
-    xi = complex(xi)
-    return complex(_pair(params, op, lambda t: phi(params, xi, t), op.f.tmax, seg_len=0.25))
+    xi = np.asarray(xi, dtype=complex)
+    out = _pair(params, op, lambda t: _phi_rows(params, xi, t), op.f.tmax, seg_len=0.25)
+    return complex(out) if xi.ndim == 0 else out
 
 
 def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,

@@ -5,17 +5,16 @@ series ``_series_2f1`` with its cancellation estimate, the routes built on
 it behind ``gauss_2f1_array`` (real z < 1, complex parameters; each point's
 route is chosen by ``_routes``), the near-one expansion ``hyp2f1_near_one``
 and ``log_gamma`` on the cut plane.  Integral c-a-b near one and integral
-a-b at z <= -4 share one logarithmic kernel, ``_hyp2f1_log_case``.  The
-Euler integral ``euler_integral_2f1`` is an independent cross-check.
+a-b at z <= -4 share one logarithmic kernel, ``_hyp2f1_log_case``.  Each
+of a, b, c is a scalar or a per-point array throughout.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 
 import numpy as np
-from scipy.special import loggamma, roots_jacobi
+from scipy.special import loggamma
 from scipy.special import psi as digamma
 
 from .errors import DomainError, PrecisionError
@@ -77,27 +76,33 @@ def _runs(*params):
     return tuple(v[edge] for v in params), np.cumsum(edge) - 1
 
 
-def _by_pair(a, b, at):
-    """(mask, a, b) for each run of the points at that share (a, b)."""
-    (pa, pb), run = _runs(_at(a, at), _at(b, at))
+def _spread(v, run, axis=-1):
+    """Values formed once per run (on ``axis``) taken to every point of the run."""
+    return v if run is None else np.take(v, run, axis=axis)
+
+
+def _by_params(a, b, c, at):
+    """(mask, a, b, c) for each run of the points at that share (a, b, c)."""
+    params, run = _runs(_at(a, at), _at(b, at), _at(c, at))
     if run is None:
-        yield at, complex(pa), complex(pb)
+        yield (at, *map(complex, params))
         return
     idx = np.flatnonzero(at)
-    for k in range(pa.size):
+    for k in range(params[0].size):
         sel = np.zeros(at.shape, dtype=bool)
         sel[idx[run == k]] = True
-        yield sel, complex(pa[k]), complex(pb[k])
+        yield (sel, *(complex(v[k]) for v in params))
 
 
-def _series_2f1(a, b, c, z, tol, psi=None):
+def _series_2f1(a, b, c, z, tol, log=False):
     """Power series sum_{n} (a)_n (b)_n / ((c)_n n!) z^n over an array z.
 
     Each of a, b, c is a scalar or an array with one value per point of z;
     the term ratio is formed once per run of points that share their
-    parameters (``_runs``) and read per column.  With ``psi``, a function of the
-    term indices n (scalar parameters only), term n is weighted by
-    log z - psi(n): the logarithmic series of DLMF 15.8.10.
+    parameters (``_runs``) and read per column.  With ``log``, term n is
+    weighted by log z - psi_n, psi_n = psi(n+1) + psi(n+c) - psi(a+n) -
+    psi(b+n) formed per run, psi(n+c) on Re c (c is real there): the
+    logarithmic series of DLMF 15.8.10.
 
     Returns the sums and, per point, the cancellation estimate
     eps * max|term| / |sum|: the relative error that rounding in the largest
@@ -112,13 +117,19 @@ def _series_2f1(a, b, c, z, tol, psi=None):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     (a, b, c), run = _runs(a, b, c)
+
+    def psi(k):
+        # k a column of term indices: one row per index, one column per point
+        psi_k = digamma(k + 1.0) + digamma(k + c.real) - digamma(a + k) - digamma(b + k)
+        return _spread(psi_k, run)
+
     total = np.empty_like(z)
     peak = np.empty(z.shape)
     live = np.arange(z.size)
     zl = z.ravel()
     az = np.abs(zl)
     term = np.ones_like(zl)
-    acc = np.ones_like(zl) if psi is None else np.log(zl) - psi(np.zeros(1))
+    acc = np.log(zl) - psi(np.zeros((1, 1)))[0] if log else np.ones_like(zl)
     top = np.abs(acc)
     n = 0
     while live.size:
@@ -139,7 +150,7 @@ def _series_2f1(a, b, c, z, tol, psi=None):
         np.cumprod(terms, axis=0, out=terms)
         terms *= term
         term = terms[-1].copy()
-        if psi is not None:
+        if log:
             terms *= np.log(zl) - psi(k[:-1] + 1.0)
         # numpy sums a lone column pairwise but several row by row; cumsum
         # is row by row for one column too
@@ -209,7 +220,6 @@ def _pow_real_base(x, p):
 
 def _pfaff_2f1(a, b, c, z, tol):
     """Pfaff: (1-z)^(-a) 2F1(a, c-b; c; z/(z-1)) for z < 0, and the series' estimate."""
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     w = z / (z - 1.0)
     vals, cancel = _series_2f1(a, c - b, c, w, tol)
     return _pow_real_base(1.0 - z, -a) * vals, cancel
@@ -218,15 +228,9 @@ def _pfaff_2f1(a, b, c, z, tol):
 def _invz_2f1(a, b, c, z, tol):
     """Two-term z -> 1/z connection for large negative z; needs a-b not integer.
 
-    Returns the values and the cancellation estimate of ``_connection``.
+    ``_routes`` sends it no a-b within _INT_GAP of an integer.  Returns the
+    values and the cancellation estimate of ``_connection``.
     """
-    near = _near_integer(a - b)
-    if near.any():
-        raise PrecisionError(
-            f"2F1: 1/z connection degenerate (a-b={np.broadcast_to(a - b, near.shape)[near][0]} "
-            "near integer)"
-        )
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     return _connection(a, b, c, -z, 1.0 / z, (a - c + 1.0, b - c + 1.0), tol)
 
 
@@ -240,7 +244,7 @@ def gamma_ratio(num, den):
     """
     n = len(num)
     factors = (*num, *den)
-    args = np.empty((len(factors),) + np.broadcast_shapes(*map(np.shape, factors)), dtype=complex)
+    args = np.empty((len(factors),) + np.broadcast(*factors).shape, dtype=complex)
     for k, v in enumerate(factors):
         args[k] = v
     pole = is_nonpositive_integer(args)
@@ -248,7 +252,7 @@ def gamma_ratio(num, den):
     if (pole[:n] & ~zero).any():
         raise DomainError(f"gamma_ratio: pole of a numerator factor at {args[:n][pole[:n] & ~zero][0]}")
     logs = loggamma(np.where(zero, 1.0, args))
-    return np.where(zero, 0j, np.exp(sum(logs[:n]) - sum(logs[n:])))[()]
+    return np.where(zero, 0j, np.exp(logs[:n].sum(axis=0) - logs[n:].sum(axis=0)))[()]
 
 
 def _conn_2f1(a, b, c, z, tol):
@@ -261,7 +265,6 @@ def _conn_2f1(a, b, c, z, tol):
     c(lam) Phi_lam(t) + c(-lam) Phi_-lam(t) with x = cosh^-2 t (Koornwinder
     1984).
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
     return _connection(a, b, c, 1.0 - z, 1.0 / (1.0 - z), (c - b, c - a), tol)
 
 
@@ -270,17 +273,17 @@ def _connection(a, b, c, base, x, uppers, tol):
 
         G(c) G(q-p) / (G(q) G(c-p)) base^-p 2F1(p, r; p-q+1; x).
 
-    a and b are scalars or per-point arrays.  A term is skipped at the
+    a, b and c are scalars or per-point arrays; the coefficients are formed
+    once per run of points that share (a, b, c).  A term is skipped at the
     points where its coefficient vanishes.  Returns the values and the worse
     of the two series' cancellation estimates; the terms' own cancellation
     against each other is not estimated.
     """
     out = np.zeros(x.shape, dtype=complex)
     cancel = np.zeros(x.shape)
-    (ra, rb), run = _runs(a, b)
-    coefs = gamma_ratio((c, np.array([rb - ra, ra - rb])), (np.array([rb, ra]), np.array([c - ra, c - rb])))
-    if run is not None:
-        coefs = np.take(coefs, run, axis=1)
+    (ra, rb, rc), run = _runs(a, b, c)
+    coefs = _spread(gamma_ratio((rc, np.array([rb - ra, ra - rb])),
+                                (np.array([rb, ra]), np.array([rc - ra, rc - rb]))), run)
     for (p, q), r, coef in zip(((a, b), (b, a)), uppers, coefs):
         at = coef != 0
         if not at.any():
@@ -303,7 +306,7 @@ def _routes(a, b, c, z, tol):
     """Route code and ``certified`` flag per point of gauss_2f1_array.
 
     The one place where routes are chosen, from (a, b, c, z, tol) before
-    any summing; a and b are scalars or per-point arrays, and every test
+    any summing; a, b and c are scalars or per-point arrays, and every test
     that reads them is a per-point mask.  A point's home route is DIRECT,
     the power series, for z >= -0.5; PFAFF, (1-z)^-a 2F1(a, c-b; c; z/(z-1)), for -4 < z < -0.5;
     for z <= -4, INVZ, the two-term 1/z connection, or, when a-b is
@@ -368,35 +371,31 @@ def _routes(a, b, c, z, tol):
 def gauss_2f1_array(a, b, c, z, tol=1e-12):
     """2F1(a, b; c; z) over a real array z < 1, complex parameters.
 
-    a and b are scalars or arrays broadcast against z, so one call serves
-    many parameter pairs (phi at many lambda); c is a scalar.  The result
+    a, b and c are scalars or arrays broadcast against z, so one call
+    serves many parameter triples (phi or Phi at many lambda).  The result
     has the broadcast shape, at least 1-d.  ``_routes`` gives each point its
     route, and each route runs once on all of its points; only the
     integral-(a-b) route and mpmath run once per run of points that share
-    (a, b).  Certified
+    (a, b, c).  Certified
     sums are kept, and so is any other sum whose cancellation estimate is
     at most tol; the rest go to mpmath.  A point's value does not depend on
     the points that share the call.
     """
-    c = complex(c)
-    if is_nonpositive_integer(c):
-        raise DomainError(f"2F1: c={c} is zero or a negative integer")
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
+    pole = is_nonpositive_integer(c)
+    if pole.any():
+        raise DomainError(f"2F1: c={complex(c[pole][0])} is zero or a negative integer")
     z = np.asarray(z, dtype=float)
-    shape = np.broadcast_shapes(a.shape, b.shape, z.shape) or (1,)
+    shape = np.broadcast_shapes(a.shape, b.shape, c.shape, z.shape) or (1,)
     z = np.broadcast_to(z, shape).ravel()
-    if a.ndim:
-        a = np.broadcast_to(a, shape).ravel()
-    if b.ndim:
-        b = np.broadcast_to(b, shape).ravel()
+    a, b, c = (v if v.ndim == 0 else np.broadcast_to(v, shape).ravel() for v in (a, b, c))
     if (z >= 1.0).any():
         raise DomainError("2F1: argument on the cut [1, oo)")
     out = np.ones(z.shape, dtype=complex)
     at = ~np.broadcast_to((a == 0) | (b == 0), z.shape)  # 2F1 = 1 where a or b is 0
     if at.any():
         at = slice(None) if at.all() else at
-        out[at] = _dispatch(_at(a, at), _at(b, at), c, z[at], tol)
+        out[at] = _dispatch(_at(a, at), _at(b, at), _at(c, at), z[at], tol)
     return out.reshape(shape)
 
 
@@ -410,14 +409,14 @@ def _dispatch(a, b, c, z, tol):
         if not at.any():
             continue
         if code == DEGENERATE:
-            for sel, pa, pb in _by_pair(a, b, at):
-                out[sel], cancel[sel] = _invz_degenerate(pa, pb, c, z[sel], tol)
+            for sel, pa, pb, pc in _by_params(a, b, c, at):
+                out[sel], cancel[sel] = _invz_degenerate(pa, pb, pc, z[sel], tol)
         else:
-            out[at], cancel[at] = globals()[_ROUTES[code]](_at(a, at), _at(b, at), c, z[at], tol)
+            out[at], cancel[at] = globals()[_ROUTES[code]](_at(a, at), _at(b, at), _at(c, at), z[at], tol)
     left = ~certified & ~(cancel <= tol)
     if left.any():
-        for sel, pa, pb in _by_pair(a, b, left):
-            out[sel] = _mp_2f1(pa, pb, c, z[sel])
+        for sel, pa, pb, pc in _by_params(a, b, c, left):
+            out[sel] = _mp_2f1(pa, pb, pc, z[sel])
     return out
 
 
@@ -454,19 +453,21 @@ def gauss_2f1(a, b, c, z, tol=1e-12):
 def hyp2f1_near_one(a, b, c, w, tol=1e-12):
     """2F1(a, b; c; 1-w) through the w-expansion, for array w in (0, 1).
 
-    Uses the two-term connection formula when c-a-b is not an integer and
-    the logarithmic expansion (``_hyp2f1_log_case``) when it is.
+    a, b and c are scalars or per-point arrays that share c-a-b (-alpha for
+    Phi).  Uses the two-term connection formula when c-a-b is not an integer
+    and the logarithmic expansion (``_hyp2f1_log_case``) when it is.
     """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
+    a, b, c = (np.asarray(v, dtype=complex) for v in (a, b, c))
     w = np.atleast_1d(np.asarray(w, dtype=float))
     if np.any((w <= 0) | (w >= 1)):
         raise DomainError("hyp2f1_near_one: w must lie in (0, 1)")
     s = c - a - b
-    if _near_integer(s):
+    if _near_integer(s).any():
         return _hyp2f1_log_case(a, b, c, w, tol)[0]
-    coef1, coef2 = gamma_ratio((c, np.array([s, -s])), (np.array([c - a, a]), np.array([c - b, b])))
+    (ra, rb, rc), run = _runs(a, b, c)
+    rs = rc - ra - rb
+    coef1, coef2 = _spread(gamma_ratio((rc, np.array([rs, -rs])),
+                                       (np.array([rc - ra, ra]), np.array([rc - rb, rb]))), run)
     t1 = coef1 * _series_2f1(a, b, 1.0 - s, w, tol)[0]
     t2 = coef2 * _pow_real_base(w, s) * _series_2f1(c - a, c - b, 1.0 + s, w, tol)[0]
     return t1 + t2
@@ -480,71 +481,31 @@ def _hyp2f1_log_case(a, b, c, w, tol):
         - (-w)^m G(c) / (G(a) G(b)) sum_k tau_k (log w - psi_k),
     tau_k the terms of 2F1(a+m, b+m; m+1; w) / m! and
     psi_k = psi(k+1) + psi(k+m+1) - psi(a+k+m) - psi(b+k+m); m < 0 goes
-    through the Euler transform w^(c-a-b) 2F1(c-a, c-b; c; 1-w).  Needs a, b
-    (after it) not nonpositive integers.  Returns the values and the
+    through the Euler transform w^(c-a-b) 2F1(c-a, c-b; c; 1-w).  a, b and c
+    are scalars or per-point arrays that share m.  Needs a, b (after the
+    transform) not nonpositive integers.  Returns the values and the
     cancellation estimate eps * (largest term times coefficient) / |value|.
     """
     s = c - a - b
-    m = round(s.real)
+    m = np.rint(np.real(s))
+    if not (_near_integer(s) & (m == m.flat[0])).all():
+        raise DomainError("log-case 2F1: the points do not share one integral c-a-b")
+    m = int(m.flat[0])
     pre = 1.0
     if m < 0:
         pre, a, b, m = _pow_real_base(w, s), c - a, c - b, -m
-    if is_nonpositive_integer(a) or is_nonpositive_integer(b):
+    if (is_nonpositive_integer(a) | is_nonpositive_integer(b)).any():
         raise DomainError("log-case 2F1: a or b is a nonpositive integer")
-
-    def psi(k):
-        return digamma(k + 1.0) + digamma(k + m + 1.0) - digamma(a + m + k) - digamma(b + m + k)
-
-    logs, cancel = _series_2f1(a + m, b + m, m + 1.0, w, tol, psi)
-    coef = -((-w) ** m) * gamma_ratio((c,), (a, b, m + 1.0))
+    logs, cancel = _series_2f1(a + m, b + m, m + 1.0, w, tol, log=True)
+    (ra, rb, rc), run = _runs(a, b, c)
+    coef = -((-w) ** m) * _spread(gamma_ratio((rc,), (ra, rb, m + 1.0)), run)
     out = coef * logs
     scale = cancel / _EPS * np.abs(out)
     if m > 0:
         k = np.arange(1.0, m)
-        terms = np.cumprod((a + k - 1.0) * (b + k - 1.0) / (k * (k - m))) * w[:, None] ** k
-        coef = gamma_ratio((float(m), c), (a + m, b + m))
+        ratios = (ra[..., None] + k - 1.0) * (rb[..., None] + k - 1.0) / (k * (k - m))
+        terms = _spread(np.cumprod(ratios, axis=-1), run, axis=0) * w[:, None] ** k
+        coef = _spread(gamma_ratio((float(m), rc), (ra + m, rb + m)), run)
         out += coef * (1.0 + terms.sum(axis=1))
         scale = np.maximum(scale, abs(coef) * np.abs(terms).max(axis=1, initial=1.0))
     return pre * out, _EPS * scale / np.maximum(np.abs(out), 1e-300)
-
-
-def euler_integral_2f1(a, b, c, z):
-    """Quadrature of the Euler integral representation of 2F1.
-
-    Gamma(c)/(Gamma(b)Gamma(c-b)) * int_0^1 s^(b-1) (1-s)^(c-b-1) (1-sz)^(-a) ds,
-    valid for Re c > Re b > 0 and z < 1.  Gauss-Jacobi nodes absorb the
-    endpoint singularities; 192 nodes are doubled once as an internal
-    consistency check, which must agree to 1e-8 relative.
-    """
-    a = complex(a)
-    b = complex(b)
-    c = complex(c)
-    z = float(np.real(z))
-    if not (c.real > b.real > 0):
-        raise DomainError("euler_integral_2f1 requires Re c > Re b > 0")
-    if z >= 1.0:
-        raise DomainError("euler_integral_2f1: z on the cut [1, oo)")
-
-    def estimate(n):
-        # weight (1-x)^(Re(c-b)-1) (1+x)^(Re b - 1) on [-1, 1], s=(1+x)/2
-        xj, wj = roots_jacobi(n, (c - b).real - 1.0, b.real - 1.0)
-        s = 0.5 * (1.0 + xj)
-        onems = 0.5 * (1.0 - xj)
-        rest = np.exp(
-            1j * b.imag * np.log(s)
-            + 1j * (c - b).imag * np.log(onems)
-            - a * np.log(1.0 - s * z)
-        )
-        scale = 2.0 ** (-(b.real - 1.0) - ((c - b).real - 1.0) - 1.0)
-        return scale * np.sum(wj * rest)
-
-    coarse = estimate(192)
-    fine = estimate(384)
-    err = abs(fine - coarse)
-    if err > 1e-8 * max(1.0, abs(fine)):
-        raise PrecisionError(
-            f"euler_integral_2f1: quadrature not converged (delta {err:.2e})",
-            achieved=err,
-        )
-    norm = cmath.exp(log_gamma(c) - log_gamma(b) - log_gamma(c - b))
-    return norm * fine

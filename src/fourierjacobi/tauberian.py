@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import JacobiParams, _on_array, strip_region, weight_delta
+from .core import JacobiParams, _on_array, _phi_rows, strip_region, weight_delta
 from .errors import DomainError, PrecisionError
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .resolvent import TLambdaOperator, _pair, _require_exterior, b_lambda
@@ -198,10 +198,11 @@ def resolvent_transform(params: JacobiParams, g, f, lam):
 
 
 def cauchy_riemann_residual(func, lam, h=1e-4):
-    """Discrete Cauchy-Riemann defect |d/dx F + i d/dy F| on a 4-point stencil."""
-    lam = complex(lam)
-    dx = (complex(func(lam + h)) - complex(func(lam - h))) / (2.0 * h)
-    dy = (complex(func(lam + 1j * h)) - complex(func(lam - 1j * h))) / (2.0 * h)
+    """Discrete Cauchy-Riemann defect |d/dx F + i d/dy F| on a 4-point stencil, one call to func."""
+    stencil = complex(lam) + np.array([h, -h, 1j * h, -1j * h])
+    right, left, up, down = _on_array(func, stencil).tolist()
+    dx = (right - left) / (2.0 * h)
+    dy = (up - down) / (2.0 * h)
     return abs(dx + 1j * dy)
 
 
@@ -220,20 +221,19 @@ def span_density_demo(params: JacobiParams, target, lambdas):
             "span_density_demo: target must carry a support bound tmax "
             "(an unbounded-support target is not in the weighted L^1 space)"
         )
-    lambdas = [_require_exterior(params, x, "span_density_demo") for x in lambdas]
-    if len(lambdas) < 2:
+    lambdas = _require_exterior(params, np.ravel(lambdas), "span_density_demo")
+    if lambdas.size < 2:
         raise DomainError("span_density_demo: need at least 2 lambdas")
     # the merit is a surrogate, so its tail is capped without certification
-    slowest = min(x.imag for x in lambdas) - params.rho
+    slowest = lambdas.imag.min() - params.rho
     cutoff = max(float(tmax), min(decay_cutoff(slowest), TAIL_CUTOFF * 4))
     nodes, weights = singular_halfline_nodes(cutoff)
     sqw = np.sqrt(weights * weight_delta(params, nodes))
-    y = np.asarray(
-        [complex(target(t)) if t <= tmax else 0.0 for t in nodes], dtype=complex
-    ) * sqw
-    columns = np.column_stack(
-        [b_lambda(params, x, nodes) * sqw for x in lambdas]
-    )
+    y = np.zeros(nodes.shape, dtype=complex)
+    inside = nodes <= tmax
+    y[inside] = _on_array(target, nodes[inside])
+    y = y * sqw
+    columns = np.ascontiguousarray((_phi_rows(params, lambdas, nodes, b_lambda) * sqw).T)
     sizes, residuals, conds, regularized = [], [], [], []
     for k in range(1, len(lambdas) + 1):
         a_k = columns[:, :k]
@@ -249,7 +249,7 @@ def span_density_demo(params: JacobiParams, target, lambdas):
         "residuals": residuals,
         "conditions": conds,
         "regularized": regularized,
-        "lambdas": [[x.real, x.imag] for x in lambdas],
+        "lambdas": [[x.real, x.imag] for x in lambdas.tolist()],
         "target_norm": float(np.linalg.norm(y)),
     }
 

@@ -16,7 +16,7 @@ def _strip_lambda(params, lam, name):
     outside = ~in_strip(params, lam)
     if outside.any():
         raise DomainError(
-            f"{name}: lambda={complex(lam[outside][0])} outside the strip (uncertified region)"
+            f"{name}={complex(lam[outside][0])} outside the strip (uncertified region)"
         )
     return lam
 
@@ -32,7 +32,7 @@ def forward_transform(params: JacobiParams, f, lam):
     batched calls, and each lambda's row is summed on its own, so a value
     does not depend on the other lambdas of the call.
     """
-    lam = _strip_lambda(params, lam, "forward_transform")
+    lam = _strip_lambda(params, lam, "forward_transform: lambda")
     tmax = getattr(f, "tmax", None)
     if tmax is None:
         raise DomainError("forward_transform: f must carry a support bound tmax")
@@ -51,7 +51,7 @@ def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
     scalar (the result is a complex) or an array (the result has its
     shape), evaluated as in ``forward_transform``.
     """
-    lam = _strip_lambda(params, lam, "forward_transform_measure")
+    lam = _strip_lambda(params, lam, "forward_transform_measure: lambda")
     total = mu.atom0
     if mu.atoms:
         ts, ws = zip(*mu.atoms)

@@ -74,6 +74,19 @@ class TestEval:
         assert code == 2
         assert "message" in json.loads(err)
 
+    @pytest.mark.parametrize("kind", ["phi", "Phi", "G", "delta-weight", "b"])
+    def test_t_list_matches_single_t_calls(self, capsys, kind):
+        # one call on the whole --t list: every row as from its own call
+        ts = ["0.05", "0.3", "0.69", "0.71", "1.5", "4"]
+        base = ["eval", kind, "--lambda", "0.7,1.6", "--out", "json"]
+        code, out, _ = run_cli(capsys, base + ["--t", ",".join(ts)])
+        assert code == 0
+        single = []
+        for t in ts:
+            _, one, _ = run_cli(capsys, base + ["--t", t])
+            single += json.loads(one)
+        assert json.loads(out) == single
+
     def test_deterministic_output(self, capsys):
         argv = ["eval", "Phi", "--lambda", "1.3,0.4", "--t", "0.3,1,4"]
         _, out1, _ = run_cli(capsys, argv)

@@ -18,12 +18,13 @@ from fourierjacobi import (
 )
 from fourierjacobi import special
 from fourierjacobi.core import (
+    _phi_rows,
     apply_L,
     apply_cherednik_T,
     heckman_opdam_g,
-    phi_dx_at_rho_closed_form,
     phi_second_kind_sinh_form,
 )
+from oracles import phi_dx_at_rho_closed_form
 
 def high_band_grid(seed=20170401, n_lam=5, n_t=8):
     """Seeded (params, lambda, ts): Re lambda in [20, 40], |Im lambda| <= 0.6 rho."""
@@ -237,6 +238,27 @@ class TestSecondKind:
         with pytest.raises(DomainError):
             phi_second_kind(standard_params, -1j, 1.0)
 
+    @pytest.mark.parametrize("kind", [phi_second_kind, phi_second_kind_sinh_form])
+    def test_forbidden_lambda_anywhere_in_array_rejected(self, standard_params, kind):
+        lams = np.array([1.0 + 0.5j, 2.0, -2j, 0.3j])
+        with pytest.raises(DomainError, match="-iN"):
+            kind(standard_params, lams, 1.0)
+        with pytest.raises(DomainError, match="-iN"):
+            kind(standard_params, lams[:, None], np.array([0.5, 1.0]))
+
+    def test_lambda_grid_matches_scalar_calls(self, probe_params):
+        # both branches (t on either side of 0.7), the log case at integer
+        # alpha (m = -alpha, 0 at alpha = 0), and lambda on and off the rails
+        p = probe_params
+        lams = np.array([0.3 + 0.2j, 1.1 - 0.4j, 2.5, 12.0 + 0.3j, 35.0 - 0.1j, 0.7j * p.rho,
+                         -1.3 + 0.5j, 1j * p.rho])
+        ts = np.array([0.01, 0.05, 0.2, 0.5, 0.69, 0.71, 1.0, 2.5, 6.0])
+        rows = np.array([phi_second_kind(p, lam, ts) for lam in lams])
+        assert np.array_equal(phi_second_kind(p, lams[:, None], ts), rows)
+        assert np.array_equal(_phi_rows(p, lams, ts, phi_second_kind), rows)
+        assert all(phi_second_kind(p, lam, ts[3]) == rows[k, 3] for k, lam in enumerate(lams))
+        assert np.array_equal(phi_second_kind(p, lams, ts[3]), rows[:, 3])
+
     def test_origin_rejected(self, standard_params):
         with pytest.raises(DomainError):
             phi_second_kind(standard_params, 0.5j, 0.0)
@@ -347,3 +369,13 @@ class TestBoundaryDerivative:
     def test_requires_positive_t(self, standard_params):
         with pytest.raises(DomainError):
             phi_dx_at_rho(standard_params, 0.0)
+
+    def test_one_call_matches_scalar_calls(self, standard_params):
+        p, t, h = standard_params, 1.3, 1e-4
+
+        def diff(step):
+            hi = phi(p, 1j * (p.rho + step), t).real
+            lo = phi(p, 1j * (p.rho - step), t).real
+            return (hi - lo) / (2.0 * step)
+
+        assert phi_dx_at_rho(p, t, h=h) == (4.0 * diff(h / 2.0) - diff(h)) / 3.0

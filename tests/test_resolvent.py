@@ -23,6 +23,8 @@ from fourierjacobi import (
     wronskian_bracket,
     wronskian_exact,
 )
+from fourierjacobi import resolvent
+from fourierjacobi.core import _phi_rows
 
 
 class TestBLambda:
@@ -34,6 +36,21 @@ class TestBLambda:
     def test_origin_rejected(self, standard_params):
         with pytest.raises(DomainError):
             b_lambda(standard_params, 1.0 + 0.5j, 0.0)
+
+    def test_lambda_grid_matches_scalar_calls(self, probe_params):
+        p = probe_params
+        lams = np.array([0.3 + 0.2j, 1.1 + 0.4j, 0.7j * p.rho, 0.8 + 2j * p.rho, -1.3 + 0.5j,
+                         12.0 + 0.3j])
+        ts = np.array([-0.8, 0.01, 0.05, 0.2, 0.69, 0.71, 1.0, 2.5, 6.0])
+        rows = np.array([b_lambda(p, lam, ts) for lam in lams])
+        assert np.array_equal(b_lambda(p, lams[:, None], ts), rows)
+        assert np.array_equal(_phi_rows(p, lams, ts, b_lambda), rows)
+        assert np.array_equal(b_lambda(p, lams, ts[4]), rows[:, 4])
+        assert all(b_lambda(p, lam, ts[4]) == rows[k, 4] for k, lam in enumerate(lams))
+
+    def test_array_lambda_rejected_anywhere_below_axis(self, standard_params):
+        with pytest.raises(DomainError):
+            b_lambda(standard_params, np.array([1.0 + 0.5j, -2j, 0.3j]), 1.0)
 
     def test_decay_rate(self, standard_params):
         # |b_lambda(t)| ~ e^{-(rho + Im lam) t}
@@ -53,6 +70,22 @@ class TestBHat:
         for xi in (0.4, 2.0, 1.0 + 0.2j):
             got = b_hat(standard_params, lam, xi)
             assert got == pytest.approx(b_hat_exact(lam, xi), rel=1e-8)
+
+    def test_array_xi_matches_scalar_calls(self, monkeypatch):
+        # the xi that share |Im xi| share one cutoff, hence one pairing
+        p = JacobiParams(2.3, 0.7)
+        lam = 0.5 + 1j * (p.rho + 1.0)
+        xis = np.array([0.0, 0.5, 1.0 + 0.2j, 2.0, 3.0 - 0.2j, 0.4 + 0.5j])
+        want = [b_hat(p, lam, xi) for xi in xis]
+        pairs = []
+        pair = resolvent._pair
+        monkeypatch.setattr(resolvent, "_pair", lambda *a, **k: pairs.append(1) or pair(*a, **k))
+        got = b_hat(p, lam, xis)
+        assert np.array_equal(got, want)
+        assert len(pairs) == 3
+        assert np.array_equal(b_hat(p, lam, xis.reshape(2, 3)), got.reshape(2, 3))
+        with pytest.raises(DomainError):
+            b_hat(p, lam, np.array([0.5, 1j * (p.rho + 0.1)]))
 
     def test_nonintegrable_lambda_rejected(self, standard_params):
         with pytest.raises(DomainError):
@@ -180,6 +213,12 @@ class TestTLambda:
         for lam in (0.1j, 0.3 + 0.05j, 1.1 + 0.2j):
             want = np.sum(base * phi(p, lam, t))
             assert TLambdaOperator(p, f, lam).fhat_lam == pytest.approx(want, rel=1e-8)
+
+    def test_array_xi_matches_scalar_calls(self, setup):
+        p, _, lam, op = setup
+        xis = np.array([0.0, 0.7 + 0.1j, 1.9, 2.5 - 0.3j])
+        got = t_lambda_hat(p, op, lam, xis)
+        assert np.array_equal(got, [t_lambda_hat(p, op, lam, xi) for xi in xis])
 
     def test_operator_built_at_another_lambda_rejected(self):
         p = JacobiParams(0.5, -0.5)

@@ -22,13 +22,13 @@ from fourierjacobi import (
 )
 from fourierjacobi.errors import DomainError
 from fourierjacobi.special import (
-    euler_integral_2f1,
     gamma_ratio,
     gauss_2f1,
     gauss_2f1_array,
     hyp2f1_near_one,
     log_gamma,
 )
+from oracles import euler_integral_2f1
 
 
 def mp_2f1(a, b, c, z):
@@ -266,6 +266,28 @@ class TestRoutes:
         gauss_2f1_array(*args)
         assert max(calls.values()) == 1, calls
 
+    def test_per_point_c_matches_scalar_c(self):
+        # one call on triples with distinct c, covering every double-precision
+        # route, against one scalar-c call per triple
+        triples = [
+            (0.3 + 0j, 0.6 + 0j, 1.4 + 0j),  # direct, Pfaff, 1/z
+            (0.3 + 0j, 0.3 + 0j, 1.7 + 0.2j),  # integral a-b: the log series at z <= -4
+            (3.0 + 5j, 1.0 + 5j, 2.0 + 0j),
+            (1.0 - 20j, 1.0 + 20j, 1.5 + 0j),  # uncertified: the 1/(1-z) connection
+            (0.8 - 0.5j, 1.1 + 0.5j, 2.05 - 0.3j),
+        ]
+        z = np.array([0.5, -0.3, -0.6, -1.4, -2.6, -3.99, -4.0, -19.0, -60.0])
+        a, b, c = (np.repeat([t[k] for t in triples], z.size) for k in range(3))
+        zs = np.tile(z, len(triples))
+        route, _ = special._routes(a, b, c, zs, 1e-12)
+        assert set(route.tolist()) == {special.DIRECT, special.PFAFF, special.INVZ,
+                                       special.DEGENERATE, special.CONN}
+        rows = gauss_2f1_array(a, b, c, zs).reshape(len(triples), z.size)
+        for (ta, tb, tc), row in zip(triples, rows):
+            assert np.array_equal(row, gauss_2f1_array(ta, tb, tc, z)), (ta, tb, tc)
+        grid = gauss_2f1_array(*(np.array(v)[:, None] for v in zip(*triples)), z)
+        assert np.array_equal(grid, rows)
+
     def test_integral_detour_matches_mpmath(self):
         a, b, c, z = INTEGRAL_AB
         got = gauss_2f1_array(a, b, c, z)
@@ -310,6 +332,24 @@ class TestNearOne:
         for w in (1e-8, 1e-4, 0.2):
             got = hyp2f1_near_one(a, b, c, w)[0]
             assert got == pytest.approx(mp_2f1(a, b, c, 1.0 - w), rel=1e-8)
+
+    def test_per_point_parameters_match_scalar_calls(self):
+        # points that share c-a-b: generic, m = -2 (log case), m = 0
+        w = np.array([1e-6, 1e-3, 0.3, 0.7])
+        for s in (0.35, -2.0, 0.0):
+            a = np.array([0.8 - 0.5j, 1.3 + 2.0j, 0.6])
+            b = np.array([1.1 + 0.5j, 0.4 - 1.0j, 2.2])
+            c = a + b + s
+            rows = hyp2f1_near_one(np.repeat(a, w.size), np.repeat(b, w.size), np.repeat(c, w.size),
+                                   np.tile(w, a.size)).reshape(a.size, w.size)
+            for k in range(a.size):
+                assert np.array_equal(rows[k], hyp2f1_near_one(a[k], b[k], c[k], w)), (s, k)
+
+    def test_points_must_share_integral_c_minus_a_minus_b(self):
+        a, b, w = np.array([0.8, 0.8]), np.array([1.2, 1.2]), np.array([0.1, 0.2])
+        for c in (np.array([3.0, 4.0]), np.array([3.0, 3.3])):
+            with pytest.raises(DomainError):
+                hyp2f1_near_one(a, b, c, w)
 
     def test_w_outside_unit_interval_rejected(self):
         with pytest.raises(DomainError):
