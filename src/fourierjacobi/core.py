@@ -25,7 +25,7 @@ from .special import (
 )
 
 _PHI2K_SPLIT = 0.7  # t above which Phi always takes the cosh^-2 t series
-_BATCH_POINTS = 8192  # most (lambda, t) points one batched phi call holds
+_BATCH_POINTS = 4096  # most (lambda, t) points one batched phi call holds
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,11 @@ class GridFunction:
     """An even function represented by uniform samples on [0, tmax].
 
     Evaluated by the cubic spline through the samples (scipy's CubicSpline,
-    not-a-knot).  Evaluation at t < 0 uses |t|; evaluation beyond tmax is a
-    DomainError.
+    not-a-knot), fitted once per real plane: the real part always, the
+    imaginary part only when some sample has one.  So real samples give
+    float64 arrays and complex samples complex128 arrays; a scalar t gives
+    a Python complex either way.  Evaluation at t < 0 uses |t|; evaluation
+    beyond tmax is a DomainError.
     ``valid_tmax`` is metadata carried by convolution outputs (the part of
     the grid certified under the domain-shrinking convention).
     """
@@ -54,13 +57,13 @@ class GridFunction:
     def __call__(self, t):
         """Interpolate at t (scalar or array); a scalar gives a Python complex.
 
-        The CubicSpline pieces are evaluated directly on the uniform grid:
-        piece k = floor(t / dt), capped at n - 2, by Horner in u = t - k dt.
-        NaN gives NaN.
+        Each plane's CubicSpline pieces are evaluated directly on the uniform
+        grid: piece k = floor(t / dt), capped at n - 2, by real Horner in
+        u = t - k dt.  NaN gives NaN.
         """
         t = np.abs(np.asarray(t, dtype=float))
-        scalar = t.ndim == 0
-        t = np.atleast_1d(t)
+        shape = t.shape
+        t = t.ravel()
         slack = 1e-9 * self.tmax
         if np.any(t > self.tmax + slack):
             raise DomainError(
@@ -68,20 +71,24 @@ class GridFunction:
             )
         t = np.minimum(t, self.tmax)
         if self._coef is None:
-            # piecewise coefficients, highest degree first: c0 u^3 + ... + c3
-            self._coef = [np.ascontiguousarray(c)
-                          for c in CubicSpline(self.ts, self.values).c]
-        c0, c1, c2, c3 = self._coef
+            # per plane, piecewise coefficients highest degree first: c0 u^3 + ... + c3
+            fitted = [self.values.real] + ([self.values.imag] if self.values.imag.any() else [])
+            self._coef = [[np.ascontiguousarray(c) for c in CubicSpline(self.ts, y).c]
+                          for y in fitted]
         dt = self.dt
         # fmin sends NaN to the last piece, where u and so the value stay NaN
         k = np.fmin(t / dt, self.n - 2).astype(np.intp)
         u = t - k * dt
-        out = c0[k] * u
-        for c in (c1, c2):
-            out += c[k]
-            out *= u
-        out += c3[k]
-        return complex(out[0]) if scalar else out
+        out = np.empty(t.size, dtype=float if len(self._coef) == 1 else complex)
+        # one real row per plane, in place: out itself, or its real and imaginary parts
+        planes = out.view(float).reshape(t.size, len(self._coef)).T
+        for (c0, c1, c2, c3), plane in zip(self._coef, planes):
+            np.multiply(c0[k], u, out=plane)
+            for c in (c1, c2):
+                plane += c[k]
+                plane *= u
+            plane += c3[k]
+        return out.reshape(shape) if shape else complex(out[0])
 
     # --- CSV format: header "t,re,im", uniform increasing t from 0 ---
 

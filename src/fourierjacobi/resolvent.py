@@ -177,6 +177,7 @@ class TLambdaOperator:
         self.params = params
         self.f = f
         self.lam = lam
+        self._b_pre = b_prefactor(params, lam)  # b_lambda = _b_pre Phi_lambda
         s = np.linspace(0.0, 1.0, n_grid)
         ts = f.tmax * s * s
         delta = weight_delta(params, ts)
@@ -184,7 +185,7 @@ class TLambdaOperator:
         phv = phi(params, lam, ts)
         g1 = fv * phv * delta
         g2 = fv * delta
-        g2[1:] *= b_lambda(params, lam, ts[1:])
+        g2[1:] *= self._b_pre * phi_second_kind(params, lam, ts[1:])
         g2[0] = 0.0  # f b Delta -> 0 like t; b is singular at 0
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
         # normalization, same as the transform): I(t) = total - cum(0..t),
@@ -206,9 +207,8 @@ class TLambdaOperator:
         out = np.zeros(t_arr.shape, dtype=complex)
         if np.any(inside):
             ti = t_arr[inside]
-            out[inside] = b_lambda(self.params, self.lam, ti) * self._tail1(ti) - phi(
-                self.params, self.lam, ti
-            ) * self._tail2(ti)
+            b = self._b_pre * phi_second_kind(self.params, self.lam, ti)
+            out[inside] = b * self._tail1(ti) - phi(self.params, self.lam, ti) * self._tail2(ti)
         return complex(out[0]) if scalar else out
 
 

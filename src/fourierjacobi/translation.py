@@ -113,7 +113,8 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     larger), so f is called once per chunk and the temporaries stay small.
     Each pair's kernel values are reduced on their own by one pairwise sum,
     so pairs that see identical values give identical results (a constant f
-    is an exact fixed point).
+    is an exact fixed point).  The values keep the dtype f gives them, so a
+    real f is translated in real arithmetic and gives a real matrix.
     """
     r, cos_psi, sin_psi, w = _kernel_nodes(params.alpha, params.beta, n_r, n_psi)
     rc, rs = r * cos_psi, r * sin_psi
@@ -121,7 +122,7 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     t = np.abs(np.asarray(t_array, dtype=float)).ravel()
     a = np.outer(np.cosh(s), np.cosh(t)).ravel()
     b = np.outer(np.sinh(s), np.sinh(t)).ravel()
-    out = np.empty(a.size, dtype=complex)
+    sums = []
     step = max(1, _CHUNK // w.size)
     for lo in range(0, a.size, step):
         ak = a[lo:lo + step, None]
@@ -132,9 +133,9 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
         x *= x
         x += np.square(rs * bk)
         args = np.arccosh(np.maximum(np.sqrt(x, out=x), 1.0, out=x), out=x)
-        vals = np.asarray(f(args.ravel()), dtype=complex).reshape(args.shape)
-        out[lo:lo + step] = np.sum(vals * w, axis=-1)
-    return out.reshape(s.size, t.size)
+        vals = np.asarray(f(args.ravel())).reshape(args.shape)
+        sums.append(np.sum(vals * w, axis=-1))
+    return np.concatenate(sums).reshape(s.size, t.size)
 
 
 def _s_integral(weights, tau):

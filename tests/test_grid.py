@@ -14,6 +14,15 @@ from fourierjacobi import (
     JacobiParams,
     gaussian_bump,
 )
+from oracles import complex_horner, complex_spline_coefficients
+
+# real, purely imaginary and mixed samples on a 41-point grid of [0, 3]
+_TS = np.linspace(0.0, 3.0, 41)
+SAMPLES = {
+    "real": 1.0 + 0.5 * np.cos(_TS),
+    "imaginary": 1j * (2.0 + np.sin(3.0 * _TS)),
+    "mixed": (1.0 + 0.5 * np.cos(_TS)) + 1j * (2.0 + np.sin(3.0 * _TS)),
+}
 
 
 class TestGridFunction:
@@ -54,6 +63,33 @@ class TestGridFunction:
             out = f(t)
         assert np.isnan(out[[1, 3]]).all()
         assert np.array_equal(out[[0, 2]], f(t[[0, 2]]))
+
+    @pytest.mark.parametrize("kind", SAMPLES)
+    def test_planes_match_complex_horner(self, kind):
+        # each plane's real Horner rounds as the complex-coefficient Horner
+        # rounds that plane, so the two agree bit for bit
+        f = GridFunction(3.0, SAMPLES[kind])
+        t = np.concatenate([[0.0, 3.0, -1.1], _TS, np.random.default_rng(3).uniform(-3.0, 3.0, 300)])
+        got = f(t)
+        want = complex_horner(f, complex_spline_coefficients(f), t)
+        assert np.array_equal(np.real(got), want.real)
+        assert np.array_equal(np.imag(got), want.imag)
+        # the complex-arithmetic fit differs from the per-plane one by rounding
+        spline = CubicSpline(f.ts, f.values)
+        assert np.max(np.abs(got - spline(np.abs(t)))) <= 1e-15 * np.max(np.abs(f.values))
+
+    @pytest.mark.parametrize("kind, dtype", [("real", np.float64), ("imaginary", np.complex128),
+                                             ("mixed", np.complex128)])
+    def test_output_dtype(self, kind, dtype):
+        f = GridFunction(3.0, SAMPLES[kind])
+        assert f(_TS).dtype == dtype
+        grid = _TS[:40].reshape(5, 8)[:, ::3]  # a strided 2-d argument keeps its shape
+        assert np.array_equal(f(grid), f(grid.ravel()).reshape(5, 3))
+        assert type(f(1.2)) is complex
+        assert type(f(np.float64(1.2))) is complex
+        assert cmath.isnan(f(np.nan))
+        out = f(np.array([np.nan, 0.5]))
+        assert np.isnan(out[0]) and not np.isnan(out[1])
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):

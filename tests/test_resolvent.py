@@ -220,6 +220,14 @@ class TestTLambda:
         got = t_lambda_hat(p, op, lam, xis)
         assert np.array_equal(got, [t_lambda_hat(p, op, lam, xi) for xi in xis])
 
+    def test_stored_prefactor_gives_b_lambda(self, setup):
+        # the operator forms i/(4 lam c(-lam)) once; times Phi it is b_lambda
+        p, f, lam, op = setup
+        ts = np.linspace(0.05, f.tmax - 0.5, 9)
+        assert np.array_equal(op._b_pre * phi_second_kind(p, lam, ts), b_lambda(p, lam, ts))
+        want = b_lambda(p, lam, ts) * op._tail1(ts) - phi(p, lam, ts) * op._tail2(ts)
+        assert np.array_equal(op(ts), want)
+
     def test_operator_built_at_another_lambda_rejected(self):
         p = JacobiParams(0.5, -0.5)
         f = gaussian_bump(4.0, 129, width=0.6, center=1.0)

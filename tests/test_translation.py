@@ -7,6 +7,7 @@ from fourierjacobi import translation
 from fourierjacobi import (
     DomainError,
     EvenMeasure,
+    GridFunction,
     JacobiParams,
     convolve,
     convolve_measure,
@@ -19,6 +20,7 @@ from fourierjacobi import (
     phi,
     translate,
 )
+from oracles import translate_batch_complex
 
 REGIMES = [
     JacobiParams(2.3, 0.7),   # alpha > beta > -1/2
@@ -161,6 +163,43 @@ class TestConvolveMeasure:
         f = gaussian_bump(2.0, 129)
         with pytest.raises(DomainError):
             convolve_measure(standard_params, f, EvenMeasure(atoms=[(2.5, 1.0)]))
+
+
+# the four regimes of the convolution-iteration benchmark
+BENCH_REGIMES = [JacobiParams(2.3, 0.7), JacobiParams(1.2, 1.2), JacobiParams(3.0, -0.5),
+                 JacobiParams(1.0, 0.0)]
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize("params", BENCH_REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
+    def test_real_f_matches_complex_reduction(self, params, monkeypatch):
+        # a real f is translated in real arithmetic; only the grouping of the
+        # pairwise kernel sums differs from the all-complex route
+        f = gaussian_bump(4.0, 65, width=0.6)
+        g = gaussian_bump(0.75, 25, width=0.3)
+        mu = EvenMeasure(atom0=0.5, atoms=[(0.2, 0.3), (0.45, 0.2)],
+                         density=GridFunction(0.3, np.linspace(1.0, 0.2, 17)))
+        assert translation._translate_batch(params, f, [0.4], [1.3]).dtype == np.float64
+
+        def outputs():
+            return [translate(params, f, 0.4, 1.3),
+                    convolve(params, f, g, s_segments=1).values,
+                    convolve_measure(params, f, mu).values]
+
+        got = outputs()
+        monkeypatch.setattr(translation, "_translate_batch", translate_batch_complex)
+        for a, b in zip(got, outputs()):
+            assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+    def test_complex_multiple_of_real_f(self):
+        p = JacobiParams(2.3, 0.7)
+        f = gaussian_bump(4.0, 65, width=0.6)
+        fc = GridFunction(f.tmax, (1.0 + 0.5j) * f.values)
+        s, t = np.linspace(0.0, 2.0, 7), np.linspace(0.0, 1.9, 11)
+        real = translation._translate_batch(p, f, s, t)
+        both = translation._translate_batch(p, fc, s, t)
+        assert real.dtype == np.float64 and both.dtype == np.complex128
+        assert np.max(np.abs(both - (1.0 + 0.5j) * real)) <= 1e-15 * np.max(np.abs(both))
 
 
 class TestNorms:
