@@ -173,10 +173,7 @@ def main(argv=None):
     except PrecisionError as exc:
         _emit_error(EXIT_PRECISION, exc, args)
         return EXIT_PRECISION
-    except DomainError as exc:
-        _emit_error(EXIT_DOMAIN, exc, args)
-        return EXIT_DOMAIN
-    except FourierJacobiError as exc:
+    except FourierJacobiError as exc:  # DomainError and every other library error
         _emit_error(EXIT_DOMAIN, exc, args)
         return EXIT_DOMAIN
 

@@ -12,7 +12,7 @@ from scipy.interpolate import CubicSpline
 
 from .core import weight_delta
 from .errors import DomainError
-from .quadrature import integrate
+from .quadrature import composite_gauss_nodes
 
 @dataclass
 class GridFunction:
@@ -59,8 +59,10 @@ class GridFunction:
 
         Each plane's CubicSpline pieces are evaluated directly on the uniform
         grid: piece k = floor(t / dt), capped at n - 2, by real Horner in
-        u = t - k dt.  NaN gives NaN.
+        u = t - k dt.  NaN gives NaN; a complex t is a DomainError.
         """
+        if np.iscomplexobj(t):
+            raise DomainError("GridFunction: evaluation at a complex argument")
         t = np.abs(np.asarray(t, dtype=float))
         shape = t.shape
         t = t.ravel()
@@ -138,6 +140,9 @@ class EvenMeasure:
     so the pair contributes w_j * phi(t_j) to the transform.  The density is
     a GridFunction d with reference measure d(s) ds ("lebesgue") or
     d(s) Delta(s) ds ("delta-weighted"), extended evenly.
+
+    The measure is discretized in one place, ``_points``: its transform,
+    its convolutions and its mass all read the same points and weights.
     """
 
     atom0: complex = 0.0 + 0.0j
@@ -166,23 +171,37 @@ class EvenMeasure:
             r = max(r, self.density.tmax)
         return r
 
+    def _points(self, params=None, segments=None):
+        """Positions T_k > 0 and complex weights W_k of the measure's one discretization.
+
+        mu = atom0 delta_0 + sum_k W_k (delta_{T_k} + delta_{-T_k})/2, so the
+        transform is atom0 + sum_k W_k phi(T_k).  The atoms come first, then
+        the density's order-10 composite Gauss nodes on ``segments`` equal
+        segments of [0, density.tmax] (by default max(8, ceil(4 tmax))).  A node's weight carries the
+        factor 2 of the even extension and, for a delta-weighted density,
+        Delta(T_k), which needs ``params``.
+        """
+        ts = [t for t, _ in self.atoms]
+        ws = [w for _, w in self.atoms]
+        if self.density is None:
+            return np.array(ts, dtype=float), np.array(ws, dtype=complex)
+        tmax = self.density.tmax
+        if segments is None:
+            segments = max(8, int(np.ceil(tmax * 4)))
+        nodes, weights = composite_gauss_nodes(np.linspace(0.0, tmax, segments + 1), 10)
+        dens = np.asarray(self.density(nodes), dtype=complex)
+        if self.density_measure == "delta-weighted":
+            if params is None:
+                raise DomainError("EvenMeasure: a delta-weighted density needs JacobiParams")
+            dens = dens * weight_delta(params, nodes)
+        return np.concatenate([ts, nodes]), np.concatenate([ws, 2.0 * weights * dens])
+
     def total_mass(self, params=None):
-        """atom0 + sum of pair weights + density integral over R."""
-        mass = self.atom0 + sum(w for _, w in self.atoms)
-        if self.density is not None:
-            if self.density_measure == "delta-weighted":
-                if params is None:
-                    raise DomainError(
-                        "total_mass: delta-weighted density needs JacobiParams"
-                    )
-                mass += 2.0 * integrate(
-                    lambda t: self.density(t) * weight_delta(params, t),
-                    0.0,
-                    self.density.tmax,
-                )
-            else:
-                mass += 2.0 * integrate(self.density, 0.0, self.density.tmax)
-        return mass
+        """atom0 + sum_k W_k over the points of ``_points``: muhat(i rho), exactly.
+
+        ``params`` is needed only for a delta-weighted density.
+        """
+        return complex(self.atom0 + sum(self._points(params)[1]))
 
     # --- JSON format ---
 

@@ -44,27 +44,22 @@ def forward_transform(params: JacobiParams, f, lam):
 
 
 def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
-    """muhat(lam) = int phi_lam d mu: atoms plus density contribution.
+    """muhat(lam) = int phi_lam d mu = atom0 + sum_k W_k phi_lam(T_k).
 
-    The density is integrated against its declared reference measure (the
-    measure is the full d mu, not automatically Delta-weighted).  lam is a
-    scalar (the result is a complex) or an array (the result has its
-    shape), evaluated as in ``forward_transform``.
+    The points (T_k, W_k) are the measure's one discretization,
+    ``EvenMeasure._points``: its atoms, then its density's nodes weighted by
+    the density's declared reference measure (the measure is the full d mu,
+    not automatically Delta-weighted).  phi is taken at all of them in one
+    batched call and summed in point order, so muhat(i rho) is exactly
+    ``mu.total_mass(params)``.  lam is a scalar (the result is a complex) or
+    an array (the result has its shape), evaluated as in ``forward_transform``.
     """
     lam = _strip_lambda(params, lam, "forward_transform_measure: lambda")
     total = mu.atom0
-    if mu.atoms:
-        ts, ws = zip(*mu.atoms)
-        vals = _phi_rows(params, lam, np.array(ts))
+    ts, ws = mu._points(params)
+    if ts.size:
+        vals = _phi_rows(params, lam, ts)
         total += sum(w * vals[..., k] for k, w in enumerate(ws))
-    if mu.density is not None:
-        if mu.density_measure == "delta-weighted":
-            def integrand(t):
-                return mu.density(t) * _phi_rows(params, lam, t) * weight_delta(params, t)
-        else:
-            def integrand(t):
-                return mu.density(t) * _phi_rows(params, lam, t)
-        total += 2.0 * integrate(integrand, 0.0, mu.density.tmax)
     return complex(total) if lam.ndim == 0 else np.full(lam.shape, total, dtype=complex)
 
 

@@ -18,8 +18,9 @@ from scipy.special import roots_jacobi
 from .core import JacobiParams, weight_delta
 from .errors import DomainError
 from .grid import EvenMeasure, GridFunction
-from .quadrature import composite_gauss_nodes, integrate
+from .quadrature import integrate
 from .special import log_gamma
+from .transform import forward_transform
 
 _DEGENERATE_TOL = 1e-10
 _CHUNK = 16384  # kernel arguments per call of f in _translate_batch
@@ -82,9 +83,9 @@ def _kernel_nodes(alpha, beta, n_r=32, n_psi=32):
     return rr, cos_psi, sin_psi, weights
 
 
-def kernel_mass(params: JacobiParams, n_r=32, n_psi=32):
+def kernel_mass(params: JacobiParams):
     """Total mass of the kernel measure; 1 when the normalization is right."""
-    _, _, _, w = _kernel_nodes(params.alpha, params.beta, n_r, n_psi)
+    _, _, _, w = _kernel_nodes(params.alpha, params.beta)
     return float(np.sum(w))
 
 
@@ -138,55 +139,40 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     return np.concatenate(sums).reshape(s.size, t.size)
 
 
-def _s_integral(weights, tau):
-    """2 sum_s weights(s) tau[s, :], column by column in the same order.
-
-    Equal columns of tau give equal results, which a BLAS product does not
-    promise; that keeps constants exact fixed points of convolution.
-    """
-    return 2.0 * np.sum(weights[:, None] * tau, axis=0)
-
-
 def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
              n_r=32, n_psi=32, s_segments=None):
     """(f * g)(t) = int tau_s f(t) g(s) Delta(s) ds on the certified subgrid.
 
-    Output is a GridFunction on [0, f.tmax - g.tmax] carrying valid_tmax
-    (domain-shrinking convention: no extrapolation of f beyond its grid).
-    tau_s f(t) is taken for all s nodes and output t in one batched call
-    (composite Gauss in s, s_segments segments of order 10).
+    This is ``convolve_measure`` by the measure g(s) Delta(s) ds, extended
+    evenly: EvenMeasure(density=g, density_measure="delta-weighted"), whose
+    density nodes are order-10 composite Gauss on s_segments equal segments
+    of [0, g.tmax] (by default max(8, ceil(4 g.tmax))).  The output is a
+    GridFunction on [0, f.tmax - g.tmax] with out_n samples, translated by
+    the n_r x n_psi kernel rule.
     """
-    out_tmax = f.tmax - g.tmax
-    if out_tmax <= 0:
-        raise DomainError(
-            "convolve: f.tmax must exceed g.tmax (domain-shrinking convention)"
-        )
-    if out_n is None:
-        out_n = max(16, int(round(f.n * out_tmax / f.tmax)))
-    if s_segments is None:
-        s_segments = max(8, int(np.ceil(g.tmax * 4)))
-    edges = np.linspace(0.0, g.tmax, s_segments + 1)
-    s_nodes, s_weights = composite_gauss_nodes(edges, 10)
-    gs = np.asarray(g(s_nodes), dtype=complex) * weight_delta(params, s_nodes)
-    out_ts = np.linspace(0.0, out_tmax, out_n)
-    tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
-    out_vals = _s_integral(s_weights * gs, tau)
-    return GridFunction(out_tmax, out_vals, valid_tmax=out_tmax)
+    mu = EvenMeasure(density=g, density_measure="delta-weighted")
+    return _convolve(params, f, mu, out_n, n_r, n_psi, s_segments)
 
 
-def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
-                     out_n=None, n_r=32, n_psi=32):
+def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure):
     """(f * mu)(t) = int tau_s f(t) d mu(s) on the shrunken certified domain.
 
-    All atoms go through one batched translation call, weighted by w_j
-    atom by atom; a density goes through one more call over its s nodes.
+    The output is a GridFunction on [0, f.tmax - mu.reach] carrying
+    valid_tmax (domain-shrinking convention: no extrapolation of f beyond
+    its grid).  It reads the measure's points (T_k, W_k) from
+    ``EvenMeasure._points``, the same ones its transform and mass read:
+    tau_{T_k} f is taken at every point and output t in one batched call,
+    and W_k times each row is added in point order onto atom0 * f.
     """
-    reach = mu.reach
-    out_tmax = f.tmax - reach
+    return _convolve(params, f, mu)
+
+
+def _convolve(params, f, mu, out_n=None, n_r=32, n_psi=32, segments=None):
+    """f * mu on the shrunken domain; segments sets the density's node count."""
+    out_tmax = f.tmax - mu.reach
     if out_tmax <= 0:
         raise DomainError(
-            f"convolve_measure: measure reach {reach} exhausts the domain "
-            f"(f.tmax={f.tmax})"
+            f"convolve: measure reach {mu.reach} exhausts the domain (f.tmax={f.tmax})"
         )
     if out_n is None:
         out_n = max(16, int(round(f.n * out_tmax / f.tmax)))
@@ -194,20 +180,12 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure,
     out_vals = np.zeros(out_n, dtype=complex)
     if mu.atom0 != 0:
         out_vals += mu.atom0 * np.asarray(f(out_ts), dtype=complex)
-    if mu.atoms:
-        positions = [t_j for t_j, _ in mu.atoms]
-        tau = _translate_batch(params, f, positions, out_ts, n_r, n_psi)
-        for (_, w_j), row in zip(mu.atoms, tau):
-            out_vals += w_j * row
-    if mu.density is not None:
-        s_segments = max(8, int(np.ceil(mu.density.tmax * 4)))
-        edges = np.linspace(0.0, mu.density.tmax, s_segments + 1)
-        s_nodes, s_weights = composite_gauss_nodes(edges, 10)
-        dens = np.asarray(mu.density(s_nodes), dtype=complex)
-        if mu.density_measure == "delta-weighted":
-            dens = dens * weight_delta(params, s_nodes)
-        tau = _translate_batch(params, f, s_nodes, out_ts, n_r, n_psi)
-        out_vals += _s_integral(s_weights * dens, tau)
+    ts, ws = mu._points(params, segments)
+    if ts.size:
+        # row by row in point order: equal columns of tau give equal results,
+        # which a BLAS product does not promise; constants stay exact fixed points
+        for w, row in zip(ws, _translate_batch(params, f, ts, out_ts, n_r, n_psi)):
+            out_vals += w * row
     return GridFunction(out_tmax, out_vals, valid_tmax=out_tmax)
 
 
@@ -222,9 +200,4 @@ def l1_norm(params: JacobiParams, f):
 
 def l10_defect(params: JacobiParams, f):
     """int f Delta over R; zero exactly on the L^1_0 subclass (= fhat(i rho))."""
-    tmax = getattr(f, "tmax", None)
-    if tmax is None:
-        raise DomainError("l10_defect: f must carry a support bound tmax")
-    return complex(
-        2.0 * integrate(lambda t: f(t) * weight_delta(params, t), 0.0, tmax)
-    )
+    return complex(forward_transform(params, f, 1j * params.rho))

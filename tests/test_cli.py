@@ -5,7 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from fourierjacobi import EvenMeasure, gaussian_bump
+from fourierjacobi import (
+    EvenMeasure,
+    GridFunction,
+    JacobiParams,
+    forward_transform_measure,
+    gaussian_bump,
+)
 from fourierjacobi.cli import build_parser, main
 from fourierjacobi.errors import PrecisionError
 from fourierjacobi.suites import SUITES
@@ -164,6 +170,24 @@ class TestFurstenberg:
         assert len(report["probes"]) == 2
         flats = [s["flatness"] for s in report["steps"]]
         assert flats[-1] < flats[0]
+
+    def test_density_measure_with_csv_sidecar(self, capsys, tmp_path):
+        # atom0 1/2 plus a Lebesgue density 1/2 on [-1/2, 1/2]: a probability measure
+        mu = EvenMeasure(atom0=0.5, density=GridFunction(0.5, np.full(17, 0.5)))
+        path = tmp_path / "mu.json"
+        mu.to_json(path, tmp_path / "density.csv")
+        code, out, _ = run_cli(
+            capsys,
+            ["furstenberg", "--measure", str(path), "--tmax", "4", "--n", "129",
+             "--steps", "2", "--probes", "1.5"],
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert [s["valid_tmax"] for s in report["steps"]] == [4.0, 3.5, 3.0]
+        flats = [s["flatness"] for s in report["steps"]]
+        assert flats[-1] < flats[0]
+        want = forward_transform_measure(JacobiParams(0.5, -0.5), EvenMeasure.from_json(path), 1.5)
+        assert complex(*report["probes"][0]["muhat"]) == want
 
     def test_initial_function_from_csv(self, capsys, tmp_path):
         mu = EvenMeasure(atom0=1.0)

@@ -91,6 +91,14 @@ class TestGridFunction:
         out = f(np.array([np.nan, 0.5]))
         assert np.isnan(out[0]) and not np.isnan(out[1])
 
+    def test_complex_argument_rejected(self):
+        # a complex t would lose its imaginary part in the float conversion
+        f = gaussian_bump(4.0, 129)
+        for t in (0.5 + 0.1j, 1.0 + 0.0j, np.complex128(0.5), np.array([0.5, 1.0 + 0.2j]),
+                  np.array([0.5, 1.0], dtype=complex)):
+            with pytest.raises(DomainError):
+                f(t)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(DomainError):
             GridFunction(1.0, np.ones(8))
@@ -143,6 +151,8 @@ class TestEvenMeasure:
         dens = GridFunction(2.0, np.full(33, 0.25))
         mu = EvenMeasure(density=dens)  # 2 * 0.25 * 2 = 1
         assert complex(mu.total_mass(JacobiParams(0.5, -0.5))) == pytest.approx(1.0)
+        with pytest.raises(DomainError):  # Delta needs the parameters
+            EvenMeasure(density=dens, density_measure="delta-weighted").total_mass()
 
     def test_json_roundtrip(self, tmp_path):
         dens = gaussian_bump(1.5, 33, width=0.5)

@@ -166,6 +166,14 @@ class TestScan:
         assert mixed["no_common_zero"]  # the joint family, as above
         assert scan_common_zeros(p, [lambda l: 1.0], grid, 1e-4)["no_common_zero"]
 
+    def test_grid_function_as_transform_rejected(self):
+        # the function itself in place of its transform is called at complex
+        # lambda; that is a DomainError, not a scan of its real parts
+        p = JacobiParams(0.5, -0.5)
+        bump = gaussian_bump(8.0, 513, width=0.5)
+        with pytest.raises(DomainError):
+            scan_common_zeros(p, [bump], StripScanGrid(3.0, 13, 0.0, 7), 1e-4)
+
     def test_bad_threshold_rejected(self, scan_setup):
         p, grid = scan_setup
         with pytest.raises(DomainError):

@@ -15,7 +15,9 @@ from fourierjacobi import (
     phi,
     plancherel_density,
     riemann_lebesgue_check,
+    weight_delta,
 )
+from fourierjacobi.quadrature import composite_gauss
 
 
 class TestForward:
@@ -67,6 +69,30 @@ class TestMeasureTransform:
             standard_params, mu, 1j * standard_params.rho
         )
         assert got == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "delta-weighted"])
+    def test_mass_is_muhat_at_i_rho_exactly(self, standard_params, measure):
+        # total_mass and the transform read the same points, and phi_{i rho} = 1
+        p = standard_params
+        mu = EvenMeasure(atom0=0.2, atoms=[(0.5, 0.3), (1.1, 0.1)],
+                         density=gaussian_bump(0.8, 33, width=0.4), density_measure=measure)
+        assert mu.total_mass(p) == forward_transform_measure(p, mu, 1j * p.rho)
+
+    @pytest.mark.parametrize("measure", ["lebesgue", "delta-weighted"])
+    def test_density_against_fine_reference(self, standard_params, measure):
+        p = standard_params
+        d = gaussian_bump(0.8, 33, width=0.4)
+        mu = EvenMeasure(atom0=0.2, atoms=[(0.5, 0.3)], density=d, density_measure=measure)
+        lams = np.array([0.6, 1.8, 0.9 + 0.3j])
+
+        def integrand(t):
+            dens = d(t) * (weight_delta(p, t) if measure == "delta-weighted" else 1.0)
+            return dens * phi(p, lams[:, None], t[None, :])
+
+        want = (0.2 + 0.3 * phi(p, lams, 0.5)
+                + 2.0 * composite_gauss(integrand, 0.0, d.tmax, n_segments=4096))
+        got = forward_transform_measure(p, mu, lams)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-7
 
 
 class TestPlancherelDensity:
