@@ -25,7 +25,7 @@ from .errors import DomainError, FourierJacobiError, PrecisionError
 from .grid import EvenMeasure, GridFunction, gaussian_bump
 from .furstenberg import iterate_and_report
 from .resolvent import b_lambda
-from .suites import SUITES, RunConfig, run_suite
+from .suites import _SUITE_FLAGS, SUITES, RunConfig, run_suite
 
 EXIT_OK = 0
 EXIT_DOMAIN = 2
@@ -77,11 +77,14 @@ def build_parser():
     p_eval.add_argument("--tol", type=float, default=1e-10,
                         help="tolerance handed to the kernel")
 
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
+    # a flag left out stays out of the namespace, so RunConfig's default
+    # applies and a flag given to a suite that does not read it shows
+    p_verify = sub.add_parser("verify", help="run a named verification suite",
+                              argument_default=argparse.SUPPRESS)
     p_verify.add_argument("suite", choices=sorted(SUITES))
-    _add_params(p_verify)
-    _add_grid(p_verify)
-    p_verify.add_argument("--seed", type=int, default=0)
+    for flag, kind in (("alpha", float), ("beta", float), ("tmax", float),
+                       ("n", int), ("seed", int)):
+        p_verify.add_argument(f"--{flag}", type=kind)
 
     p_furst = sub.add_parser(
         "furstenberg", help="iterate f -> f * mu and report flatness"
@@ -127,13 +130,15 @@ def _emit_table(header, rows, out):
 
 
 def _config_from(args):
-    return RunConfig(
-        alpha=args.alpha,
-        beta=args.beta,
-        tmax=args.tmax,
-        n=args.n,
-        seed=args.seed,
-    )
+    """RunConfig from the flags given; a flag the suite does not read is a DomainError."""
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "suite")}
+    unread = [k for k in given if k not in _SUITE_FLAGS[args.suite]]
+    if unread:
+        raise DomainError(
+            f"verify {args.suite} does not read --{', --'.join(unread)}; it reads "
+            + (", ".join(f"--{k}" for k in _SUITE_FLAGS[args.suite]) or "no flag")
+        )
+    return RunConfig(**given)
 
 
 def _cmd_eval(args):

@@ -54,21 +54,21 @@ class JacobiParams:
 STRIP_TIE_TOL = 1e-12
 
 
-def strip_region(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL) -> str:
+def strip_region(params: JacobiParams, lam) -> str:
     """Classify a spectral point against the strip |Im lambda| <= rho.
 
-    Returns "interior", "boundary", or "exterior"; ties within tie_tol of
-    the boundary count as boundary.
+    Returns "interior", "boundary", or "exterior"; ties within STRIP_TIE_TOL
+    of the boundary count as boundary.
     """
     gap = abs(complex(lam).imag) - params.rho
-    if abs(gap) <= tie_tol:
+    if abs(gap) <= STRIP_TIE_TOL:
         return "boundary"
     return "interior" if gap < 0 else "exterior"
 
 
-def in_strip(params: JacobiParams, lam, tie_tol=STRIP_TIE_TOL):
+def in_strip(params: JacobiParams, lam):
     """Not exterior (see ``strip_region``); elementwise over an array lam."""
-    return np.abs(np.imag(lam)) - params.rho <= tie_tol
+    return np.abs(np.imag(lam)) - params.rho <= STRIP_TIE_TOL
 
 
 def weight_delta(params: JacobiParams, t):

@@ -24,13 +24,10 @@ class GridFunction:
     float64 arrays and complex samples complex128 arrays; a scalar t gives
     a Python complex either way.  Evaluation at t < 0 uses |t|; evaluation
     beyond tmax is a DomainError.
-    ``valid_tmax`` is metadata carried by convolution outputs (the part of
-    the grid certified under the domain-shrinking convention).
     """
 
     tmax: float
     values: np.ndarray
-    valid_tmax: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
@@ -142,7 +139,8 @@ class EvenMeasure:
     d(s) Delta(s) ds ("delta-weighted"), extended evenly.
 
     The measure is discretized in one place, ``_points``: its transform,
-    its convolutions and its mass all read the same points and weights.
+    its convolutions and its mass all read the same points and weights, and
+    so do the transform and L1 norm of a function f, as the measure f Delta dt.
     """
 
     atom0: complex = 0.0 + 0.0j
@@ -197,11 +195,11 @@ class EvenMeasure:
         return np.concatenate([ts, nodes]), np.concatenate([ws, 2.0 * weights * dens])
 
     def total_mass(self, params=None):
-        """atom0 + sum_k W_k over the points of ``_points``: muhat(i rho), exactly.
+        """atom0 + sum_k W_k by the transform's row sum: muhat(i rho), exactly.
 
         ``params`` is needed only for a delta-weighted density.
         """
-        return complex(self.atom0 + sum(self._points(params)[1]))
+        return complex(self.atom0 + np.sum(self._points(params)[1]))
 
     # --- JSON format ---
 

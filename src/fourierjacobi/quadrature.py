@@ -49,12 +49,14 @@ def composite_gauss_nodes(edges, order=10):
     return nodes, weights
 
 
+def _segment_count(length):
+    """Segments of ``integrate``, and of a function's transform and L1 norm: 8 per unit, 16-2000."""
+    return min(max(16, int(np.ceil(length * 8))), 2000)
+
+
 def integrate(func, a, b):
-    """Composite Gauss over [a, b]: 8 segments per unit, 16 to 2000, order 10."""
-    if b <= a:
-        return 0.0 + 0.0j
-    n_seg = min(max(16, int(np.ceil((b - a) * 8))), 2000)
-    return composite_gauss(func, a, b, n_segments=n_seg, order=10)
+    """Composite Gauss over [a, b] on ``_segment_count(b - a)`` segments, order 10."""
+    return composite_gauss(func, a, b, n_segments=_segment_count(b - a), order=10)
 
 
 def graded_edges(outer=0.5, levels=40):

@@ -268,6 +268,17 @@ SUITES = {
     "resolvent-glue": suite_resolvent_glue,
     "riemann-lebesgue": suite_riemann_lebesgue,
 }
+# the RunConfig fields each suite reads; the CLI refuses any other flag
+_SUITE_FLAGS = {
+    "lemma31": (),
+    "wronskian": ("seed",),
+    "product-formula": ("seed",),
+    "strict-bound": ("alpha", "beta", "seed"),
+    "derivative-positivity": (),
+    "tlambda": (),
+    "resolvent-glue": (),
+    "riemann-lebesgue": ("tmax", "n"),
+}
 
 
 def run_suite(name: str, config: RunConfig):

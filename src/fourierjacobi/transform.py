@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import JacobiParams, _on_array, _phi_rows, c_function, in_strip, weight_delta
+from .core import JacobiParams, _on_array, _phi_rows, c_function, in_strip
 from .errors import DomainError
 from .grid import EvenMeasure
-from .quadrature import composite_gauss_nodes, integrate
+from .quadrature import _segment_count, composite_gauss_nodes
 
 
 def _strip_lambda(params, lam, name):
@@ -22,45 +22,47 @@ def _strip_lambda(params, lam, name):
 
 
 def forward_transform(params: JacobiParams, f, lam):
-    """fhat(lam) = 2 int_0^tmax f(t) phi_lam(t) Delta(t) dt.
+    """fhat(lam) = 2 int_0^tmax f(t) phi_lam(t) Delta(t) dt: the transform of f Delta dt.
 
     f is a GridFunction (numerically supported in [0, tmax]) or a callable
-    paired with an explicit support bound via f.tmax.  Only certified for
-    lam in the strip, where phi stays bounded.  lam is a scalar (the result
-    is a complex) or an array (the result has its shape): every lambda
-    shares the t nodes, phi is evaluated on the whole lambda x t grid in
-    batched calls, and each lambda's row is summed on its own, so a value
-    does not depend on the other lambdas of the call.
+    paired with an explicit support bound via f.tmax.  It is transformed as
+    EvenMeasure(density=f, density_measure="delta-weighted"), on the segment
+    rule of ``integrate``.  Only certified for lam in the strip, where phi
+    stays bounded.  lam is taken as in ``forward_transform_measure``.
     """
     lam = _strip_lambda(params, lam, "forward_transform: lambda")
-    tmax = getattr(f, "tmax", None)
-    if tmax is None:
-        raise DomainError("forward_transform: f must carry a support bound tmax")
-
-    def integrand(t):
-        return f(t) * _phi_rows(params, lam, t) * weight_delta(params, t)
-
-    return 2.0 * integrate(integrand, 0.0, tmax)
+    mu, segments = _as_measure(f, "forward_transform")
+    return _transform(params, mu, lam, segments)
 
 
 def forward_transform_measure(params: JacobiParams, mu: EvenMeasure, lam):
     """muhat(lam) = int phi_lam d mu = atom0 + sum_k W_k phi_lam(T_k).
 
     The points (T_k, W_k) are the measure's one discretization,
-    ``EvenMeasure._points``: its atoms, then its density's nodes weighted by
-    the density's declared reference measure (the measure is the full d mu,
-    not automatically Delta-weighted).  phi is taken at all of them in one
-    batched call and summed in point order, so muhat(i rho) is exactly
-    ``mu.total_mass(params)``.  lam is a scalar (the result is a complex) or
-    an array (the result has its shape), evaluated as in ``forward_transform``.
+    ``EvenMeasure._points`` (a density is weighted by its declared reference
+    measure, not automatically by Delta).  lam is a scalar (the result is a
+    complex) or an array (the result has its shape).  phi is taken on the
+    whole lambda x T grid in batched calls, and each lambda's row is summed
+    on its own by the sum of ``EvenMeasure.total_mass``: a value does not
+    depend on the other lambdas, and muhat(i rho) is exactly the mass.
     """
     lam = _strip_lambda(params, lam, "forward_transform_measure: lambda")
-    total = mu.atom0
-    ts, ws = mu._points(params)
-    if ts.size:
-        vals = _phi_rows(params, lam, ts)
-        total += sum(w * vals[..., k] for k, w in enumerate(ws))
-    return complex(total) if lam.ndim == 0 else np.full(lam.shape, total, dtype=complex)
+    return _transform(params, mu, lam)
+
+
+def _as_measure(f, name):
+    """The measure f(t) Delta(t) dt of f, which needs a support bound f.tmax, and its segments."""
+    tmax = getattr(f, "tmax", None)
+    if tmax is None:
+        raise DomainError(f"{name}: f must carry a support bound tmax")
+    return EvenMeasure(density=f, density_measure="delta-weighted"), _segment_count(tmax)
+
+
+def _transform(params, mu, lam, segments=None):
+    """atom0 + sum_k W_k phi_lam(T_k) over ``mu._points(params, segments)``, lam in the strip."""
+    ts, ws = mu._points(params, segments)
+    total = mu.atom0 + np.sum(ws * _phi_rows(params, lam, ts), axis=-1)
+    return complex(total) if lam.ndim == 0 else total
 
 
 def plancherel_density(params: JacobiParams, lam):

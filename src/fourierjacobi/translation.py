@@ -15,12 +15,11 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .core import JacobiParams, weight_delta
+from .core import JacobiParams
 from .errors import DomainError
 from .grid import EvenMeasure, GridFunction
-from .quadrature import integrate
 from .special import log_gamma
-from .transform import forward_transform
+from .transform import _as_measure, forward_transform
 
 _DEGENERATE_TOL = 1e-10
 _CHUNK = 16384  # kernel arguments per call of f in _translate_batch
@@ -157,9 +156,9 @@ def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
 def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure):
     """(f * mu)(t) = int tau_s f(t) d mu(s) on the shrunken certified domain.
 
-    The output is a GridFunction on [0, f.tmax - mu.reach] carrying
-    valid_tmax (domain-shrinking convention: no extrapolation of f beyond
-    its grid).  It reads the measure's points (T_k, W_k) from
+    The output is a GridFunction on [0, f.tmax - mu.reach], the certified
+    domain (domain-shrinking convention: no extrapolation of f beyond its
+    grid).  It reads the measure's points (T_k, W_k) from
     ``EvenMeasure._points``, the same ones its transform and mass read:
     tau_{T_k} f is taken at every point and output t in one batched call,
     and W_k times each row is added in point order onto atom0 * f.
@@ -186,16 +185,13 @@ def _convolve(params, f, mu, out_n=None, n_r=32, n_psi=32, segments=None):
         # which a BLAS product does not promise; constants stay exact fixed points
         for w, row in zip(ws, _translate_batch(params, f, ts, out_ts, n_r, n_psi)):
             out_vals += w * row
-    return GridFunction(out_tmax, out_vals, valid_tmax=out_tmax)
+    return GridFunction(out_tmax, out_vals)
 
 
 def l1_norm(params: JacobiParams, f):
-    """Weighted L1 norm int |f| Delta over R."""
-    tmax = getattr(f, "tmax", None)
-    if tmax is None:
-        raise DomainError("l1_norm: f must carry a support bound tmax")
-    integral = integrate(lambda t: np.abs(f(t)) * weight_delta(params, t), 0.0, tmax)
-    return float(np.real(2.0 * integral))
+    """Weighted L1 norm int |f| Delta over R: sum_k |W_k| over the points fhat reads."""
+    mu, segments = _as_measure(f, "l1_norm")
+    return float(np.sum(np.abs(mu._points(params, segments)[1])))
 
 
 def l10_defect(params: JacobiParams, f):

@@ -14,7 +14,7 @@ from fourierjacobi import (
 )
 from fourierjacobi.cli import build_parser, main
 from fourierjacobi.errors import PrecisionError
-from fourierjacobi.suites import SUITES
+from fourierjacobi.suites import _SUITE_FLAGS, SUITES
 
 
 def run_cli(capsys, argv):
@@ -102,9 +102,7 @@ class TestEval:
 
 class TestVerify:
     def test_wronskian_suite_passes(self, capsys):
-        code, out, _ = run_cli(
-            capsys, ["verify", "wronskian", "--alpha", "1", "--beta", "0"]
-        )
+        code, out, _ = run_cli(capsys, ["verify", "wronskian"])
         assert code == 0
         report = json.loads(out)
         assert report["pass"]
@@ -145,6 +143,24 @@ class TestOptions:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "derivative-positivity", "--alpha", "3", "--beta", "1", "--tmax", "2",
+         "--n", "17", "--seed", "9"],
+        ["verify", "lemma31", "--seed", "9"],
+        ["verify", "wronskian", "--alpha", "1", "--beta", "0"],
+        ["verify", "product-formula", "--tmax", "4"],
+        ["verify", "strict-bound", "--n", "17"],
+        ["verify", "riemann-lebesgue", "--alpha", "1"],
+    ])
+    def test_suite_refuses_flag_it_does_not_read(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        diag = json.loads(err)
+        assert diag["code"] == 2 and "does not read" in diag["message"]
+
+    def test_every_suite_declares_its_flags(self):
+        assert set(_SUITE_FLAGS) == set(SUITES)
 
     def test_eval_reads_tol(self, capsys):
         code, out, _ = run_cli(

@@ -6,18 +6,23 @@ import pytest
 from fourierjacobi import (
     DomainError,
     EvenMeasure,
+    GridFunction,
     JacobiParams,
     forward_transform,
     forward_transform_measure,
     gaussian_bump,
     inverse_transform,
     inversion_tail_estimate,
+    l1_norm,
     phi,
     plancherel_density,
     riemann_lebesgue_check,
     weight_delta,
 )
-from fourierjacobi.quadrature import composite_gauss
+from fourierjacobi.quadrature import composite_gauss, integrate
+
+# the four benchmark regimes and an alpha < 0 one
+BENCH_REGIMES = [(2.3, 0.7), (1.2, 1.2), (3.0, -0.5), (1.0, 0.0), (-0.25, -0.5)]
 
 
 class TestForward:
@@ -93,6 +98,36 @@ class TestMeasureTransform:
                 + 2.0 * composite_gauss(integrand, 0.0, d.tmax, n_segments=4096))
         got = forward_transform_measure(p, mu, lams)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-7
+
+
+@pytest.mark.parametrize("ab", BENCH_REGIMES, ids=lambda ab: f"a{ab[0]}b{ab[1]}")
+class TestFunctionAsMeasure:
+    """A function's transform and L1 norm are those of the measure f Delta dt."""
+
+    def test_transform_is_composite_gauss(self, ab):
+        p = JacobiParams(*ab)
+        f = gaussian_bump(4.0, 129, width=0.7)
+        # real, complex, both rails and i rho
+        lams = np.array([0.0, 3.0, 17.5, 1.1 + 0.4j * p.rho, 2.0 + 1j * p.rho,
+                         0.6 - 1j * p.rho, 1j * p.rho])
+
+        def integrand(t):
+            return f(t) * phi(p, lams[:, None], t[None, :]) * weight_delta(p, t)
+
+        # integrate's rule: 8 order-10 segments per unit of tmax
+        want = 2.0 * composite_gauss(integrand, 0.0, f.tmax, n_segments=32)
+        got = forward_transform(p, f, lams)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+    def test_l1_norm_is_integrate(self, ab):
+        p = JacobiParams(*ab)
+        bump = gaussian_bump(4.0, 129, width=0.7, center=1.0)
+        f = GridFunction(4.0, (bump.values - 0.2) * np.exp(1j * bump.ts))
+        want = 2.0 * integrate(lambda t: np.abs(f(t)) * weight_delta(p, t), 0.0, f.tmax).real
+        got = l1_norm(p, f)
+        assert got == pytest.approx(want, rel=1e-14)
+        # the same points: |fhat| <= ||f||_1 on the real line, term by term
+        assert np.all(np.abs(forward_transform(p, f, [0.0, 0.7, 4.0, 11.0])) <= got)
 
 
 class TestPlancherelDensity:

@@ -122,7 +122,6 @@ class TestConvolve:
         g = gaussian_bump(2.0, 129)
         out = convolve(standard_params, f, g, out_n=16)
         assert out.tmax == pytest.approx(6.0)
-        assert out.valid_tmax == pytest.approx(6.0)
 
     def test_exhausted_domain_rejected(self, standard_params):
         f = gaussian_bump(2.0, 129)
