@@ -35,7 +35,6 @@ from .resolvent import (
     b_l1_norm,
     b_lambda,
     convolve_b_spectral,
-    t_lambda,
     t_lambda_hat,
     wronskian_bracket,
     wronskian_exact,
@@ -119,7 +118,6 @@ __all__ = [
     "span_density_demo",
     "spectral_nodes",
     "strip_region",
-    "t_lambda",
     "t_lambda_hat",
     "translate",
     "weight_delta",

@@ -212,24 +212,17 @@ class TLambdaOperator:
         return complex(out[0]) if scalar else out
 
 
-def t_lambda(params: JacobiParams, f: GridFunction, lam, t):
-    """Pointwise T_lambda f(t); build a TLambdaOperator for repeated use."""
-    return TLambdaOperator(params, f, lam)(t)
-
-
-def t_lambda_hat(params: JacobiParams, op_or_f, lam, xi):
+def t_lambda_hat(params: JacobiParams, op, lam, xi):
     """Transform of T_lambda f at xi by direct singular-aware quadrature.
 
-    Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).  op_or_f is f or
-    a TLambdaOperator built at lam (built elsewhere raises DomainError).
+    Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).  op is the
+    TLambdaOperator of f built at lam; anything else raises DomainError.
     xi may be an array: T_lambda f is evaluated once for all of them.
     """
-    if isinstance(op_or_f, TLambdaOperator):
-        op = op_or_f
-        if complex(lam) != op.lam:
-            raise DomainError(f"t_lambda_hat: operator built at {op.lam}, not at {lam}")
-    else:
-        op = TLambdaOperator(params, op_or_f, lam)
+    if not isinstance(op, TLambdaOperator):
+        raise DomainError(f"t_lambda_hat: expected a TLambdaOperator, got {type(op).__name__}")
+    if complex(lam) != op.lam:
+        raise DomainError(f"t_lambda_hat: operator built at {op.lam}, not at {lam}")
     xi = np.asarray(xi, dtype=complex)
     out = _pair(params, op, lambda t: _phi_rows(params, xi, t), op.f.tmax, seg_len=0.25)
     return complex(out) if xi.ndim == 0 else out

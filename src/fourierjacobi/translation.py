@@ -1,10 +1,12 @@
 """Generalized translation and the hypergeometric convolution structure.
 
-The translation tau_s averages f over a kernel measure on [0,1] x [0,pi]
-whose density carries Jacobi-type endpoint singularities; nodes are built
-with Gauss-Jacobi rules so those exponents cost no accuracy.  The three
-parameter regimes (generic alpha > beta > -1/2, alpha = beta, and
-beta = -1/2) get their own kernels.
+The translation tau_s averages f over the product-formula kernel measure
+dm(r, psi) on [0,1] x [0,pi] (Flensted-Jensen & Koornwinder, Ark. Mat. 11,
+1973).  That measure is a product of two probability laws: u = r^2 follows
+Beta(beta+1, alpha-beta) and v = cos psi follows Beta(beta+1/2, beta+1/2)
+on [-1, 1].  Each law is a Gauss-Jacobi rule, so the endpoint exponents
+cost no accuracy.  The alpha = beta and beta = -1/2 regimes are their
+limits: r pinned at 1, and psi on {0, pi} with mass 1/2 each.
 """
 
 from __future__ import annotations
@@ -29,57 +31,37 @@ def _lg(x):
     return log_gamma(complex(x)).real
 
 
+def _jacobi_law(a, b, n):
+    """Nodes on [-1, 1] and weights of the law proportional to (1-x)^a (1+x)^b.
+
+    The n-point Gauss-Jacobi weights are divided by the exact mass
+    2^(a+b+1) B(a+1, b+1).  As a -> -1 the law tends to the point mass at 1,
+    and as a = b -> -1 to (delta_-1 + delta_1) / 2.
+    """
+    if abs(a + 1.0) < _DEGENERATE_TOL:
+        if abs(b + 1.0) < _DEGENERATE_TOL:
+            return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+        return np.ones(1), np.ones(1)
+    x, w = roots_jacobi(n, a, b)
+    log_mass = (a + b + 1.0) * math.log(2.0) + _lg(a + 1.0) + _lg(b + 1.0) - _lg(a + b + 2.0)
+    return x, w * math.exp(-log_mass)
+
+
 @lru_cache(maxsize=32)
 def _kernel_nodes(alpha, beta, n_r=32, n_psi=32):
     """Nodes (r_i, cos psi_i, sin psi_i) and weights of the kernel measure dm.
 
-    Weights include the explicit Gamma-factor normalization, so their sum
-    equals the kernel mass (= 1) only because the normalization constant
-    is right; nothing is renormalized numerically.
+    The weights are the outer product of the laws of u = r^2 (n_r nodes)
+    and of v = cos psi (n_psi nodes), each scaled by its exact Beta mass;
+    their sum is 1 because those masses are right, and nothing is
+    renormalized numerically.
     """
-    if abs(beta + 0.5) < _DEGENERATE_TOL:
-        # beta = -1/2: density in r, psi concentrated on {0, pi} with mass 1/2 each
-        const = math.exp(_lg(alpha + 1.0) - 0.5 * math.log(math.pi) - _lg(alpha + 0.5))
-        # u = r^2: (1-r^2)^(alpha-1/2) dr = (1/2)(1-u)^(alpha-1/2) u^(-1/2) du
-        xj, wj = roots_jacobi(n_r, alpha - 0.5, -0.5)
-        u = 0.5 * (1.0 + xj)
-        scale = 2.0 ** (-(alpha - 0.5) - (-0.5) - 1.0)
-        r_w = 2.0 * const * 0.5 * scale * wj  # overall 2 from the paper's constant
-        r = np.sqrt(u)
-        rr = np.concatenate([r, r])
-        cos_psi = np.concatenate([np.ones_like(r), -np.ones_like(r)])
-        sin_psi = np.zeros_like(rr)
-        weights = np.concatenate([0.5 * r_w, 0.5 * r_w])
-        return rr, cos_psi, sin_psi, weights
-    if abs(alpha - beta) < _DEGENERATE_TOL:
-        # alpha = beta: psi-density only, r pinned at 1 (see decisions ledger)
-        const = math.exp(_lg(alpha + 1.0) - 0.5 * math.log(math.pi) - _lg(alpha + 0.5))
-        # v = cos psi: (sin psi)^(2 alpha) d psi = (1-v^2)^(alpha-1/2) dv
-        xv, wv = roots_jacobi(n_psi, alpha - 0.5, alpha - 0.5)
-        weights = const * wv
-        r = np.ones_like(xv)
-        return r, xv, np.sqrt(np.clip(1.0 - xv**2, 0.0, None)), weights
-    # generic alpha > beta > -1/2
-    const = math.exp(
-        math.log(2.0)
-        + _lg(alpha + 1.0)
-        - 0.5 * math.log(math.pi)
-        - _lg(alpha - beta)
-        - _lg(beta + 0.5)
-    )
-    # u = r^2: (1-r^2)^(a-b-1) r^(2b+1) dr = (1/2)(1-u)^(a-b-1) u^b du
-    xj, wj = roots_jacobi(n_r, alpha - beta - 1.0, beta)
-    u = 0.5 * (1.0 + xj)
-    r = np.sqrt(u)
-    r_scale = 2.0 ** (-(alpha - beta - 1.0) - beta - 1.0)
-    r_w = 0.5 * r_scale * wj
-    # v = cos psi: (sin psi)^(2b) d psi = (1-v^2)^(b-1/2) dv
-    xv, wv = roots_jacobi(n_psi, beta - 0.5, beta - 0.5)
-    rr = np.repeat(r, xv.size)
-    cos_psi = np.tile(xv, r.size)
+    x, wu = _jacobi_law(alpha - beta - 1.0, beta, n_r)
+    v, wv = _jacobi_law(beta - 0.5, beta - 0.5, n_psi)
+    r = np.repeat(np.sqrt(0.5 * (1.0 + x)), v.size)
+    cos_psi = np.tile(v, x.size)
     sin_psi = np.sqrt(np.clip(1.0 - cos_psi**2, 0.0, None))
-    weights = const * np.repeat(r_w, xv.size) * np.tile(wv, r.size)
-    return rr, cos_psi, sin_psi, weights
+    return r, cos_psi, sin_psi, np.outer(wu, wv).ravel()
 
 
 def kernel_mass(params: JacobiParams):
@@ -138,7 +120,7 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     return np.concatenate(sums).reshape(s.size, t.size)
 
 
-def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
+def convolve(params: JacobiParams, f: GridFunction, g: GridFunction,
              n_r=32, n_psi=32, s_segments=None):
     """(f * g)(t) = int tau_s f(t) g(s) Delta(s) ds on the certified subgrid.
 
@@ -146,11 +128,11 @@ def convolve(params: JacobiParams, f: GridFunction, g: GridFunction, out_n=None,
     evenly: EvenMeasure(density=g, density_measure="delta-weighted"), whose
     density nodes are order-10 composite Gauss on s_segments equal segments
     of [0, g.tmax] (by default max(8, ceil(4 g.tmax))).  The output is a
-    GridFunction on [0, f.tmax - g.tmax] with out_n samples, translated by
-    the n_r x n_psi kernel rule.
+    GridFunction on [0, f.tmax - g.tmax] at about f's sample spacing (at
+    least 16 samples), translated by the n_r x n_psi kernel rule.
     """
     mu = EvenMeasure(density=g, density_measure="delta-weighted")
-    return _convolve(params, f, mu, out_n, n_r, n_psi, s_segments)
+    return _convolve(params, f, mu, n_r, n_psi, s_segments)
 
 
 def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure):
@@ -166,15 +148,14 @@ def convolve_measure(params: JacobiParams, f: GridFunction, mu: EvenMeasure):
     return _convolve(params, f, mu)
 
 
-def _convolve(params, f, mu, out_n=None, n_r=32, n_psi=32, segments=None):
+def _convolve(params, f, mu, n_r=32, n_psi=32, segments=None):
     """f * mu on the shrunken domain; segments sets the density's node count."""
     out_tmax = f.tmax - mu.reach
     if out_tmax <= 0:
         raise DomainError(
             f"convolve: measure reach {mu.reach} exhausts the domain (f.tmax={f.tmax})"
         )
-    if out_n is None:
-        out_n = max(16, int(round(f.n * out_tmax / f.tmax)))
+    out_n = max(16, int(round(f.n * out_tmax / f.tmax)))
     out_ts = np.linspace(0.0, out_tmax, out_n)
     out_vals = np.zeros(out_n, dtype=complex)
     if mu.atom0 != 0:

@@ -17,7 +17,6 @@ from fourierjacobi import (
     phi,
     phi_second_kind,
     resolvent_transform,
-    t_lambda,
     t_lambda_hat,
     weight_delta,
     wronskian_bracket,
@@ -194,10 +193,6 @@ class TestTLambda:
         p, f, lam, op = setup
         assert op(f.tmax + 1.0) == 0.0
 
-    def test_scalar_entry_point(self, setup):
-        p, f, lam, op = setup
-        assert t_lambda(p, f, lam, 1.3) == pytest.approx(op(1.3), rel=1e-10)
-
     def test_fhat_lam_matches_graded_gauss(self):
         # alpha = -1/4: Delta ~ t^(1/2) at 0, where a rule in t loses order;
         # in s = sqrt(t/tmax) the integrand f phi Delta dt/ds is smooth between
@@ -234,6 +229,12 @@ class TestTLambda:
         op = TLambdaOperator(p, f, 0.5j)
         with pytest.raises(DomainError):
             t_lambda_hat(p, op, 0.3j, 1.0)
+
+    def test_function_instead_of_operator_rejected(self):
+        p = JacobiParams(0.5, -0.5)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        with pytest.raises(DomainError):
+            t_lambda_hat(p, f, 0.5j, 1.0)
 
     def test_requires_interior_lambda(self):
         p = JacobiParams(1.0, 0.0)

@@ -29,9 +29,29 @@ REGIMES = [
 ]
 
 
-@pytest.mark.parametrize("params", REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
+# generic, alpha = beta and beta = -1/2 kernels, down to alpha < 0
+MOMENT_REGIMES = REGIMES + [JacobiParams(a, b) for a, b in [
+    (3.0, -0.5), (1.0, 0.0), (0.5, -0.5), (0.3, 0.3), (2.0, 1.0), (-0.25, -0.5), (0.0, -0.5)]]
+
+
+@pytest.mark.parametrize("params", MOMENT_REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
 def test_kernel_mass_is_one(params):
-    assert kernel_mass(params) == pytest.approx(1.0, abs=1e-12)
+    # dm is the law of u = r^2 ~ Beta(beta+1, alpha-beta) times that of
+    # v = cos psi ~ Beta(beta+1/2, beta+1/2) on [-1, 1]; check its moments
+    a, b = params.alpha, params.beta
+    r, cos_psi, _, w = translation._kernel_nodes(a, b)
+    u, v2 = r**2, cos_psi**2
+    e_u, e_v2 = (b + 1.0) / (a + 1.0), 1.0 / (2.0 * b + 2.0)
+    moments = [
+        (kernel_mass(params), 1.0),
+        (np.sum(w * u), e_u),
+        (np.sum(w * u * u), e_u * (b + 2.0) / (a + 2.0)),
+        (np.sum(w * cos_psi), 0.0),
+        (np.sum(w * v2), e_v2),
+        (np.sum(w * u * v2), e_u * e_v2),
+    ]
+    for got, want in moments:
+        assert abs(got - want) <= 1e-13
 
 
 @pytest.mark.parametrize("params", REGIMES, ids=lambda p: f"{p.alpha},{p.beta}")
@@ -118,10 +138,11 @@ class TestConvolve:
                               convolve_measure(params, f, mu).values)
 
     def test_domain_shrinks(self, standard_params):
-        f = gaussian_bump(8.0, 513)
+        f = gaussian_bump(8.0, 17)
         g = gaussian_bump(2.0, 129)
-        out = convolve(standard_params, f, g, out_n=16)
+        out = convolve(standard_params, f, g)
         assert out.tmax == pytest.approx(6.0)
+        assert out.n == 16
 
     def test_exhausted_domain_rejected(self, standard_params):
         f = gaussian_bump(2.0, 129)
