@@ -65,20 +65,20 @@ def graded_edges(outer=0.5, levels=40):
     return np.concatenate(([0.0], pts[::-1]))[1:]  # drop the exact 0 endpoint
 
 
-def singular_halfline_nodes(cutoff, seg_len=0.5):
+def singular_halfline_nodes(cutoff):
     """Node/weight arrays for integrands mildly singular at 0 on (0, cutoff].
 
     Geometric subdivision (ratio 1/2, 40 levels, order-8 Gauss) of
     (0, 0.5] handles t^sigma behaviour near the origin; order-10 composite
-    Gauss on segments of at most seg_len covers the rest.  The untouched
-    sliver (0, 0.5 * 2^-40] is dropped (its contribution is O(sliver^2) for
-    integrands vanishing linearly at 0).
+    Gauss on segments of at most 0.5 (at least 4) covers the rest.  The
+    untouched sliver (0, 0.5 * 2^-40] is dropped (its contribution is
+    O(sliver^2) for integrands vanishing linearly at 0).
     """
     cutoff = float(cutoff)
     if cutoff <= 0.5:
         return composite_gauss_nodes(graded_edges(cutoff), 8)
     g_nodes, g_weights = composite_gauss_nodes(graded_edges(0.5), 8)
-    n_seg = max(4, int(np.ceil((cutoff - 0.5) / seg_len)))
+    n_seg = max(4, int(np.ceil(2.0 * (cutoff - 0.5))))
     edges = np.linspace(0.5, cutoff, n_seg + 1)
     s_nodes, s_weights = composite_gauss_nodes(edges, 10)
     return np.concatenate([g_nodes, s_nodes]), np.concatenate([g_weights, s_weights])

@@ -8,6 +8,8 @@ form (the convolution route would hit the singularity of b at 0).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
@@ -18,7 +20,7 @@ from .errors import DomainError, PrecisionError
 from .grid import GridFunction
 from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
 from .special import _at, _runs, _spread
-from .transform import _strip_lambda, forward_transform, inverse_transform
+from .transform import _strip_lambda, _transform, forward_transform, inverse_transform
 
 
 def _require_upper(lam):
@@ -61,21 +63,30 @@ def _require_exterior(params: JacobiParams, lam, who):
     return lam
 
 
-def _pair(params: JacobiParams, h, g, cutoff, seg_len=0.5):
-    """2 int_0^cutoff h g Delta dt; h and g take the node array, g one row per integrand.
+def _finite_sum(nodes, vals):
+    """Sum of vals over the node (last) axis.
 
-    A product that overflows or turns NaN (Delta outgrowing a decaying h)
+    A product that overflowed or turned NaN (Delta outgrowing a decaying h)
     raises PrecisionError instead of entering the sum.
     """
-    nodes, weights = singular_halfline_nodes(cutoff, seg_len)
-    hv, gv = h(nodes), g(nodes)
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = hv * gv * weight_delta(params, nodes)
     bad = ~np.isfinite(vals)
     if np.any(bad):
         at = nodes[bad.nonzero()[-1][0]]
         raise PrecisionError(f"resolvent pairing: integrand not finite at t = {at:.4g}")
-    return 2.0 * np.sum(weights * vals, axis=-1)
+    return np.sum(vals, axis=-1)
+
+
+def _pair(params: JacobiParams, h, g, cutoff):
+    """2 int_0^cutoff h g Delta dt; h and g take the node array, g one row per integrand.
+
+    Nodes are ``singular_halfline_nodes(cutoff)``; a non-finite product
+    raises PrecisionError (``_finite_sum``).
+    """
+    nodes, weights = singular_halfline_nodes(cutoff)
+    hv, gv = h(nodes), g(nodes)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = hv * gv * weight_delta(params, nodes)
+    return 2.0 * _finite_sum(nodes, weights * vals)
 
 
 def b_hat(params: JacobiParams, lam, xi):
@@ -152,6 +163,26 @@ def wronskian_exact(params: JacobiParams, lam):
     return 2j * lam * c_function(params, -lam)
 
 
+def _simpson_weights(n):
+    """w with sum_k w_k y_k = cumulative_simpson(y, x=linspace(0, 1, n))[-1], to rounding.
+
+    Simpson's 1/3 rule on the panels [s_0, s_2], [s_2, s_4], ...; for even n
+    the last interval takes the three-point formula cumulative_simpson uses
+    there, h/12 (-y_{n-3} + 8 y_{n-2} + 5 y_{n-1}).
+    """
+    m = n - 1  # intervals
+    end = m - m % 2  # last node of the paired panels
+    w = np.zeros(n)
+    w[1:end:2] = 4.0
+    w[2:end:2] = 2.0
+    w[0] += 1.0
+    w[end] += 1.0
+    w /= 3.0 * m
+    if m % 2:
+        w[-3:] += np.array([-1.0, 8.0, 5.0]) / (12.0 * m)
+    return w
+
+
 class TLambdaOperator:
     """T_lambda f through its one-dimensional tail-integral form.
 
@@ -159,14 +190,28 @@ class TLambdaOperator:
     for t > 0 (tails in the full-line normalization 2 int_t^oo); f is
     compactly supported on [0, tmax], so T_lambda f vanishes beyond tmax.
     The tails are integrated cumulatively on the graded grid t = tmax s^2,
-    n_grid uniform s in [0, 1] (1001 by default), by Simpson's rule in s,
-    and splined in t.  The substitution turns t^(2 alpha + 1) dt into a
-    smooth multiple of s^(4 alpha + 3) ds, so Simpson keeps its order at
-    t = 0 for every alpha > -1.  Against a graded Gauss reference for fhat,
-    the transform identity of ``t_lambda_hat`` holds to 7e-10 relative on
-    nine (alpha, beta) pairs with alpha from -0.4 to 3 (a uniform
-    trapezoid on 8001 points reached 1e-7).
+    n_grid uniform s in [0, 1] (1001 by default), by Simpson's rule in s;
+    ``__call__`` splines them in t, the splines built on its first call.
+    The substitution turns t^(2 alpha + 1) dt into a smooth multiple of
+    s^(4 alpha + 3) ds, so Simpson keeps its order at t = 0 for alpha >= 0.
+
+    The operator is also the measure (T_lambda f) Delta dt on that grid, as
+    points (t_k, W_k), k >= 1, with W_k = 2 w_k (dt/ds)_k Delta(t_k)
+    T_lambda f(t_k) for the Simpson weights w_k in s (``_points``, with
+    ``atom0`` 0, read as ``EvenMeasure._points`` is).  T_lambda f(t_k) comes
+    from the values the tails were built from, so pairing it with g costs
+    one evaluation of g per grid point.  For alpha < 0 the integrand
+    F(s) ~ P0 s^gamma near s = 0, gamma = 4 alpha + 3 < 3, defeats Simpson;
+    W_1 subtracts Simpson's error on s^gamma, (sum_k w_k s_k^gamma -
+    1/(gamma + 1)) P0, with P0 = F(s_1)/s_1^gamma (Navot's endpoint term).
+    Against a graded Gauss-Jacobi reference for fhat, on
+    f = gaussian_bump(4, 129, 0.6, center=1), the transform identity of
+    ``t_lambda_hat`` holds to 1.8e-10 - 1.6e-9 relative on nine (alpha, beta)
+    pairs with alpha from -0.25 to 3, and to 2.1e-10 for alpha from -0.1 to
+    -0.49 (4.7e-8 - 1.0e-7 at alpha <= -0.4 without the endpoint term).
     """
+
+    atom0 = 0.0
 
     def __init__(self, params: JacobiParams, f: GridFunction, lam, n_grid=1001):
         lam = complex(lam)
@@ -183,9 +228,10 @@ class TLambdaOperator:
         delta = weight_delta(params, ts)
         fv = np.asarray(f(ts), dtype=complex)
         phv = phi(params, lam, ts)
+        bv = self._b_pre * phi_second_kind(params, lam, ts[1:])
         g1 = fv * phv * delta
         g2 = fv * delta
-        g2[1:] *= self._b_pre * phi_second_kind(params, lam, ts[1:])
+        g2[1:] *= bv
         g2[0] = 0.0  # f b Delta -> 0 like t; b is singular at 0
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
         # normalization, same as the transform): I(t) = total - cum(0..t),
@@ -193,9 +239,33 @@ class TLambdaOperator:
         dt_ds = 2.0 * f.tmax * s
         cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, x=s, initial=0)
         cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, x=s, initial=0)
-        self._tail1 = CubicSpline(ts, cum1[-1] - cum1)
-        self._tail2 = CubicSpline(ts, cum2[-1] - cum2)
+        tail1, tail2 = cum1[-1] - cum1, cum2[-1] - cum2
+        self._ts, self._tails = ts, (tail1, tail2)
         self.fhat_lam = complex(cum1[-1])
+        # the measure (T_lambda f) Delta dt on the grid; s_0 = 0 carries no weight
+        w = _simpson_weights(n_grid)[1:]
+        if params.alpha < 0.0:  # endpoint term on s^gamma
+            gamma = 4.0 * params.alpha + 3.0
+            sg = s[1:] ** gamma
+            w[0] -= (np.dot(w, sg) - 1.0 / (gamma + 1.0)) / sg[0]
+        self._t = ts[1:]
+        self._w = 2.0 * w * dt_ds[1:] * delta[1:] * (bv * tail1[1:] - phv[1:] * tail2[1:])
+
+    @cached_property
+    def _tail1(self):
+        return CubicSpline(self._ts, self._tails[0])
+
+    @cached_property
+    def _tail2(self):
+        return CubicSpline(self._ts, self._tails[1])
+
+    def _points(self, params=None, segments=None):
+        """Grid points t_k > 0 and weights W_k of the measure (T_lambda f) Delta dt.
+
+        Fixed at construction; ``params`` and ``segments`` are accepted for
+        the ``EvenMeasure._points`` calling convention of ``_transform``.
+        """
+        return self._t, self._w
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -213,19 +283,21 @@ class TLambdaOperator:
 
 
 def t_lambda_hat(params: JacobiParams, op, lam, xi):
-    """Transform of T_lambda f at xi by direct singular-aware quadrature.
+    """Transform of T_lambda f at xi: sum_k W_k phi_xi(t_k) over the operator's grid measure.
 
     Must equal (fhat(lam) - fhat(xi)) / (xi^2 - lambda^2).  op is the
     TLambdaOperator of f built at lam; anything else raises DomainError.
-    xi may be an array: T_lambda f is evaluated once for all of them.
+    The sum is ``transform._transform`` of the op's points (see
+    ``TLambdaOperator``: Simpson in s, with the endpoint term for
+    alpha < 0), so phi_lambda, Phi_lambda and the tails are not evaluated
+    again.  xi may be an array: phi is taken on the whole xi x t grid.
+    Accuracy as stated in ``TLambdaOperator``.
     """
     if not isinstance(op, TLambdaOperator):
         raise DomainError(f"t_lambda_hat: expected a TLambdaOperator, got {type(op).__name__}")
     if complex(lam) != op.lam:
         raise DomainError(f"t_lambda_hat: operator built at {op.lam}, not at {lam}")
-    xi = np.asarray(xi, dtype=complex)
-    out = _pair(params, op, lambda t: _phi_rows(params, xi, t), op.f.tmax, seg_len=0.25)
-    return complex(out) if xi.ndim == 0 else out
+    return _transform(params, op, np.asarray(xi, dtype=complex))
 
 
 def convolve_b_spectral(params: JacobiParams, f: GridFunction, lam, t,

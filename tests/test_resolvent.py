@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_simpson
+from scipy.interpolate import CubicSpline
+from scipy.special import roots_jacobi
 
 from fourierjacobi import (
     DomainError,
@@ -208,6 +211,63 @@ class TestTLambda:
         for lam in (0.1j, 0.3 + 0.05j, 1.1 + 0.2j):
             want = np.sum(base * phi(p, lam, t))
             assert TLambdaOperator(p, f, lam).fhat_lam == pytest.approx(want, rel=1e-8)
+
+    @pytest.mark.parametrize("ab", [(-0.4, -0.5), (-0.45, -0.45), (-0.1, -0.5), (2.3, 0.7)])
+    def test_hat_identity_against_graded_gauss(self, ab):
+        # the reference fhat takes order-12 Gauss on each knot interval of
+        # f, Gauss-Jacobi with weight t^(2 alpha + 1) on the first, so the
+        # identity is read against fhat, not against the grid's own Simpson
+        # sums; for alpha < 0 the grid pairing needs its endpoint term (without
+        # it alpha = -0.4 and -0.45 read 4.7e-8 and 1.0e-7); at (2.3, 0.7) the
+        # grid's own Simpson error in fhat(lambda), 7e-10, puts the identity
+        # near 1.3e-9
+        p = JacobiParams(*ab)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        dt, a = f.dt, 2.0 * p.alpha + 1.0
+        x, w = np.polynomial.legendre.leggauss(12)
+        mid = (np.arange(1, len(f.values) - 1) + 0.5) * dt
+        xj, wj = roots_jacobi(12, 0.0, a)
+        t0 = 0.5 * dt * (1.0 + xj)
+        t = np.concatenate([t0, (mid[:, None] + 0.5 * dt * x).ravel()])
+        w = np.concatenate([wj * (0.5 * dt) ** (a + 1.0) / t0**a, np.tile(0.5 * dt * w, len(mid))])
+        base = 2.0 * w * f(t) * weight_delta(p, t)
+        lam = 0.3 + 0.5j * p.rho
+        xis = np.array([0.0, 0.9, 2.2, 1.3 + 0.4j * p.rho])
+        fhat = np.sum(base * _phi_rows(p, np.concatenate([[lam], xis]), t), axis=-1)
+        want = (fhat[0] - fhat[1:]) / (xis**2 - lam**2)
+        got = t_lambda_hat(p, TLambdaOperator(p, f, lam), lam, xis)
+        bound = 2e-9 if p.alpha > 0 else 1e-9
+        assert np.max(np.abs(got - want) / np.abs(want)) <= bound
+
+    @pytest.mark.parametrize("n_grid", [1001, 1000])
+    def test_grid_weights_are_the_tail_rule(self, n_grid):
+        # the Simpson weights in s that build the measure (T_lambda f) Delta dt
+        # give fhat(lambda) as the cumulative rule does, for odd and even
+        # n_grid; the lazily built tail splines leave op(t) bit-identical to
+        # the eager tail-integral formula, and the pairing builds no spline
+        p = JacobiParams(2.3, 0.7)
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        lam = 0.7 + 0.4j * p.rho
+        op = TLambdaOperator(p, f, lam, n_grid=n_grid)
+        s = np.linspace(0.0, 1.0, n_grid)
+        ts = f.tmax * s * s
+        dt_ds = 2.0 * f.tmax * s
+        fv, delta = np.asarray(f(ts), dtype=complex), weight_delta(p, ts)
+        g1 = fv * phi(p, lam, ts) * delta
+        simpson = 2.0 * np.sum(resolvent._simpson_weights(n_grid) * g1 * dt_ds)
+        assert abs(simpson - op.fhat_lam) <= 1e-14 * abs(op.fhat_lam)
+        t_lambda_hat(p, op, lam, np.array([0.4, 1.1 + 0.2j]))
+        assert "_tail1" not in vars(op) and "_tail2" not in vars(op)
+        g2 = fv * delta
+        g2[1:] *= b_lambda(p, lam, ts[1:])
+        g2[0] = 0.0
+        cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, x=s, initial=0)
+        cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, x=s, initial=0)
+        assert op.fhat_lam == complex(cum1[-1])
+        tq = np.linspace(0.03, f.tmax - 0.2, 23)
+        want = (b_lambda(p, lam, tq) * CubicSpline(ts, cum1[-1] - cum1)(tq)
+                - phi(p, lam, tq) * CubicSpline(ts, cum2[-1] - cum2)(tq))
+        assert np.array_equal(op(tq), want)
 
     def test_array_xi_matches_scalar_calls(self, setup):
         p, _, lam, op = setup

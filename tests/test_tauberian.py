@@ -225,6 +225,17 @@ class TestResolventGlue:
         with pytest.raises(PrecisionError):
             resolvent_transform(p, _g_one, zero, 0.5j)
 
+    def test_interior_nonfinite_product_raises(self, glue_setup):
+        # the interior pairing sums W_k g(t_k) on the operator's grid; a g
+        # that is not finite somewhere must not enter that sum
+        p, f0 = glue_setup
+
+        def g(t):
+            return np.where(np.asarray(t) > 2.0, np.nan, 1.0)
+
+        with pytest.raises(PrecisionError):
+            resolvent_transform(p, g, f0, 0.5j)
+
     def test_capped_tail_raises(self, glue_setup):
         # 0.01 above the rail the tail needs t ~ 2,800; cut at the cap of
         # 240 the value missed -1/(lam^2 + rho^2) by 9 %
