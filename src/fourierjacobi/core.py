@@ -161,8 +161,22 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     in ``special._routes``).
     """
     lam, t, shape = _second_kind_points(lam, t)
-    rho = params.rho
-    a = (rho - 1j * lam) / 2.0
+    # not in place: numpy multiplies a lone complex in place by other
+    # rounding than in a longer array, and a point's value must not
+    # depend on its batch
+    out = _second_kind_2f1(params, lam, t, tol) * np.exp((1j * lam - params.rho) * np.log(
+        2.0 * np.cosh(t)))
+    return complex(out[0]) if shape is None else out.reshape(shape)
+
+
+def _second_kind_2f1(params: JacobiParams, lam, t, tol):
+    """The 2F1 factor F of Phi_lam = (2 cosh t)^(i lam - rho) F.
+
+    lam and t as ``_second_kind_points`` returns them; routes as in
+    ``phi_second_kind``.  Kept apart so that a caller can form the power
+    in log space together with other factors.
+    """
+    a = (params.rho - 1j * lam) / 2.0
     b = (params.alpha - params.beta + 1.0 - 1j * lam) / 2.0
     c = 1.0 - 1j * lam
     w = np.tanh(t) ** 2
@@ -173,11 +187,7 @@ def phi_second_kind(params: JacobiParams, lam, t, tol=1e-12):
     far = ~near
     if np.any(far):
         out[far] = gauss_2f1_array(_at(a, far), _at(b, far), _at(c, far), np.cosh(t[far]) ** -2.0, tol)
-    # not in place: numpy multiplies a lone complex in place by other
-    # rounding than in a longer array, and a point's value must not
-    # depend on its batch
-    out = out * np.exp((1j * lam - rho) * np.log(2.0 * np.cosh(t)))
-    return complex(out[0]) if shape is None else out.reshape(shape)
+    return out
 
 
 def phi_second_kind_sinh_form(params: JacobiParams, lam, t, tol=1e-12):

@@ -14,6 +14,7 @@ from .errors import PrecisionError
 
 ABS_TOL = 1e-10  # target of every decay_cutoff truncation
 TAIL_CUTOFF = 30.0  # cap scale: times 8 on resolvent pairings, times 4 on span_density_demo
+_SEGMENT = 0.5  # graded head of singular_halfline_nodes, then the length of its segments
 
 
 @lru_cache(maxsize=64)
@@ -69,19 +70,27 @@ def singular_halfline_nodes(cutoff):
     """Node/weight arrays for integrands mildly singular at 0 on (0, cutoff].
 
     Geometric subdivision (ratio 1/2, 40 levels, order-8 Gauss) of
-    (0, 0.5] handles t^sigma behaviour near the origin; order-10 composite
-    Gauss on segments of at most 0.5 (at least 4) covers the rest.  The
-    untouched sliver (0, 0.5 * 2^-40] is dropped (its contribution is
-    O(sliver^2) for integrands vanishing linearly at 0).
+    (0, 0.5] handles t^sigma behaviour near the origin; past it, order-10
+    Gauss takes the fixed segments [0.5, 1], [1, 1.5], ..., the last one
+    ending at cutoff.  So for cutoffs on the 0.5 grid (``_grid_cutoff``)
+    the node set of a shorter cutoff is a prefix of a longer one's, and
+    rows evaluated on it serve both.  The untouched sliver
+    (0, 0.5 * 2^-40] is dropped (its contribution is O(sliver^2) for
+    integrands vanishing linearly at 0).
     """
     cutoff = float(cutoff)
-    if cutoff <= 0.5:
+    if cutoff <= _SEGMENT:
         return composite_gauss_nodes(graded_edges(cutoff), 8)
-    g_nodes, g_weights = composite_gauss_nodes(graded_edges(0.5), 8)
-    n_seg = max(4, int(np.ceil(2.0 * (cutoff - 0.5))))
-    edges = np.linspace(0.5, cutoff, n_seg + 1)
+    g_nodes, g_weights = composite_gauss_nodes(graded_edges(_SEGMENT), 8)
+    n_seg = int(np.ceil(cutoff / _SEGMENT)) - 1
+    edges = np.append(_SEGMENT * np.arange(1, n_seg + 1), cutoff)
     s_nodes, s_weights = composite_gauss_nodes(edges, 10)
     return np.concatenate([g_nodes, s_nodes]), np.concatenate([g_weights, s_weights])
+
+
+def _grid_cutoff(t):
+    """t rounded up to the segment grid of ``singular_halfline_nodes``."""
+    return _SEGMENT * np.ceil(t / _SEGMENT)
 
 
 def decay_cutoff(rate, hi=None):

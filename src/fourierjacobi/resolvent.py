@@ -8,17 +8,17 @@ form (the convolution route would hit the singularity of b at 0).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 from scipy.interpolate import CubicSpline
 
-from .core import (JacobiParams, _phi_rows, c_function, in_strip, phi, phi_second_kind,
-                   strip_region, weight_delta)
+from .core import (JacobiParams, _phi_rows, _second_kind_2f1, _second_kind_points, c_function,
+                   in_strip, phi, phi_second_kind, strip_region, weight_delta)
 from .errors import DomainError, PrecisionError
 from .grid import GridFunction
-from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
+from .quadrature import TAIL_CUTOFF, _grid_cutoff, decay_cutoff, singular_halfline_nodes
 from .special import _at, _runs, _spread
 from .transform import _strip_lambda, _transform, forward_transform, inverse_transform
 
@@ -76,27 +76,78 @@ def _finite_sum(nodes, vals):
     return np.sum(vals, axis=-1)
 
 
-def _pair(params: JacobiParams, h, g, cutoff):
-    """2 int_0^cutoff h g Delta dt; h and g take the node array, g one row per integrand.
+def _b_delta(params: JacobiParams, lam, t):
+    """b_lambda Delta at t > 0, the powers of 2 cosh t and 2 sinh t summed in log space.
 
-    Nodes are ``singular_halfline_nodes(cutoff)``; a non-finite product
-    raises PrecisionError (``_finite_sum``).
+    pre F exp((i lam - rho + 2 beta + 1) log(2 cosh t) + (2 alpha + 1)
+    log(2 sinh t)), with F the 2F1 factor of Phi_lambda, so the product
+    stays finite (or underflows) where Delta alone overflows.
+    """
+    lam_flat, t, _ = _second_kind_points(lam, t)
+    expo = ((1j * lam - params.rho + 2.0 * params.beta + 1.0) * np.log(2.0 * np.cosh(t))
+            + (2.0 * params.alpha + 1.0) * np.log(2.0 * np.sinh(t)))
+    return b_prefactor(params, lam) * _second_kind_2f1(params, lam_flat, t, 1e-12) * np.exp(expo)
+
+
+_b_rows = {}  # one entry, (params, lam) -> (nodes, b_lambda Delta there); see _b_delta_rows
+
+
+def _b_delta_rows(params: JacobiParams, lam: complex, nodes):
+    """b_lambda Delta on nodes, through a one-entry store for the last (params, lambda).
+
+    The store holds the longest node set asked for at that lambda and its
+    rows (read-only).  A node set that shares a prefix with it (every
+    ``singular_halfline_nodes`` set at a cutoff on its 0.5 grid) takes
+    that prefix from the store, and only the nodes past it are evaluated.
+    The pairings at one lambda run back to back (``b_hat``, then the
+    exterior ``resolvent_transform``), so one entry serves them, keeps
+    memory bounded and lets a traced re-run of a task evaluate its rows
+    again; a value does not depend on its batch, so a stored row equals a
+    cold one bit for bit.
+    """
+    held_nodes, held = _b_rows.get((params, lam), (nodes[:0], nodes[:0]))
+    m = min(nodes.size, held_nodes.size)
+    same = held_nodes[:m] == nodes[:m]
+    k = m if same.all() else int(same.argmin())
+    if k == nodes.size:
+        return held[:k]
+    rows = np.concatenate([held[:k], _b_delta(params, lam, nodes[k:])])
+    if nodes.size >= held_nodes.size:
+        nodes = nodes.copy()
+        nodes.flags.writeable = rows.flags.writeable = False
+        _b_rows.clear()
+        _b_rows[params, lam] = (nodes, rows)
+    return rows
+
+
+def _pair(params: JacobiParams, lam: complex, g, cutoff, modulus=False):
+    """2 int_0^cutoff h g Delta dt, h = b_lambda (|b_lambda| if modulus); g takes the node array.
+
+    g gives one row per integrand.  Nodes are
+    ``singular_halfline_nodes(cutoff)``, and b_lambda Delta on them comes
+    from ``_b_delta_rows`` (formed in log space, one-entry store).  A
+    non-finite product raises PrecisionError (``_finite_sum``).
     """
     nodes, weights = singular_halfline_nodes(cutoff)
-    hv, gv = h(nodes), g(nodes)
+    rows = _b_delta_rows(params, lam, nodes)
+    if modulus:
+        rows = np.abs(rows)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = hv * gv * weight_delta(params, nodes)
-    return 2.0 * _finite_sum(nodes, weights * vals)
+        vals = weights * (rows * g(nodes))
+    return 2.0 * _finite_sum(nodes, vals)
 
 
 def b_hat(params: JacobiParams, lam, xi):
     """Quadrature of 2 int_0^oo b_lambda phi_xi Delta; equals 1/(xi^2-lam^2).
 
     Needs Im lam > rho (L^1 membership) and xi in the strip, judged by
-    ``strip_region`` (lam on the rail raises DomainError).  A tail, decaying
-    like exp(-(Im lam - |Im xi|) t), not below ABS_TOL by TAIL_CUTOFF * 8, or
-    an integrand that overflows, raises PrecisionError.  xi may be an array:
-    the xi that share |Im xi| share one cutoff and one pairing.
+    ``strip_region`` (lam on the rail raises DomainError).  The tail decays
+    like exp(-(Im lam - |Im xi|) t); its cutoff is rounded up to the 0.5
+    grid of ``singular_halfline_nodes``, so the pairings at one lambda
+    share b_lambda's rows (``_b_delta_rows``).  A tail not below ABS_TOL
+    by TAIL_CUTOFF * 8, or an integrand that is not finite, raises
+    PrecisionError.  xi may be an array: the xi that share |Im xi| share
+    one cutoff and one pairing.
     """
     lam = complex(_require_exterior(params, lam, "b_hat"))
     xi = _strip_lambda(params, xi, "b_hat: xi")
@@ -104,9 +155,8 @@ def b_hat(params: JacobiParams, lam, xi):
     out = np.empty(xi.shape, dtype=complex)
     for rate in np.unique(rates):
         at = rates == rate
-        cutoff = decay_cutoff(rate, hi=TAIL_CUTOFF * 8)
-        out[at] = _pair(params, lambda t: b_lambda(params, lam, t),
-                        lambda t: _phi_rows(params, _at(xi, at), t), cutoff)
+        cutoff = _grid_cutoff(decay_cutoff(rate, hi=TAIL_CUTOFF * 8))
+        out[at] = _pair(params, lam, lambda t: _phi_rows(params, _at(xi, at), t), cutoff)
     return complex(out) if xi.ndim == 0 else out
 
 
@@ -120,13 +170,11 @@ def b_hat_exact(lam, xi):
 def b_l1_norm(params: JacobiParams, lam):
     """Weighted L1 norm of b_lambda; finite iff Im lambda > rho.
 
-    Rail, tail and overflow rules as in ``b_hat``, at decay rate Im lam - rho.
+    Rail, tail and rounding rules as in ``b_hat``, at decay rate Im lam - rho.
     """
     lam = complex(_require_exterior(params, lam, "b_l1_norm"))
-    cutoff = decay_cutoff(lam.imag - params.rho, hi=TAIL_CUTOFF * 8)
-    return float(_pair(
-        params, lambda t: np.abs(b_lambda(params, lam, t)), lambda t: 1.0, cutoff
-    ))
+    cutoff = _grid_cutoff(decay_cutoff(lam.imag - params.rho, hi=TAIL_CUTOFF * 8))
+    return float(_pair(params, lam, lambda t: 1.0, cutoff, modulus=True))
 
 
 def _fd1(vals, h):
@@ -183,6 +231,38 @@ def _simpson_weights(n):
     return w
 
 
+@lru_cache(maxsize=1)
+def _grid_rows(params: JacobiParams, lam: complex, tmax: float, n_grid: int):
+    """The rows of a ``TLambdaOperator`` grid that do not depend on f, read-only.
+
+    (b_pre, s, ts, dt/ds, Delta(ts), phi_lambda(ts), b_lambda(ts[1:]), w,
+    edge): the grid t = tmax s^2, its Simpson weights w in s for k >= 1
+    (W_1 with the endpoint term for alpha < 0), and edge, the endpoint
+    term's coefficient (sum_k w_k s_k^gamma - 1/(gamma + 1)) / s_1^gamma
+    (0 for alpha >= 0).  One entry: the consumers of one lambda (operators
+    of several f, the interior ``resolvent_transform`` right after
+    ``t_lambda_hat``) run back to back, and a single entry keeps memory
+    bounded and lets a traced re-run of a task build its rows again.
+    """
+    pre = b_prefactor(params, lam)  # b_lambda = pre Phi_lambda
+    s = np.linspace(0.0, 1.0, n_grid)
+    ts = tmax * s * s
+    dt_ds = 2.0 * tmax * s
+    delta = weight_delta(params, ts)
+    phv = phi(params, lam, ts)
+    bv = pre * phi_second_kind(params, lam, ts[1:])
+    w = _simpson_weights(n_grid)[1:]
+    edge = 0.0
+    if params.alpha < 0.0:  # endpoint term on s^gamma
+        gamma = 4.0 * params.alpha + 3.0
+        sg = s[1:] ** gamma
+        edge = (np.dot(w, sg) - 1.0 / (gamma + 1.0)) / sg[0]
+        w[0] -= edge
+    for row in (s, ts, dt_ds, delta, phv, bv, w):
+        row.flags.writeable = False
+    return pre, s, ts, dt_ds, delta, phv, bv, w, edge
+
+
 class TLambdaOperator:
     """T_lambda f through its one-dimensional tail-integral form.
 
@@ -203,12 +283,24 @@ class TLambdaOperator:
     one evaluation of g per grid point.  For alpha < 0 the integrand
     F(s) ~ P0 s^gamma near s = 0, gamma = 4 alpha + 3 < 3, defeats Simpson;
     W_1 subtracts Simpson's error on s^gamma, (sum_k w_k s_k^gamma -
-    1/(gamma + 1)) P0, with P0 = F(s_1)/s_1^gamma (Navot's endpoint term).
+    1/(gamma + 1)) P0, with P0 = F(s_1)/s_1^gamma (Navot's endpoint term),
+    and ``fhat_lam`` subtracts the same term of its own integrand; the
+    tails keep plain Simpson.
     Against a graded Gauss-Jacobi reference for fhat, on
     f = gaussian_bump(4, 129, 0.6, center=1), the transform identity of
     ``t_lambda_hat`` holds to 1.8e-10 - 1.6e-9 relative on nine (alpha, beta)
     pairs with alpha from -0.25 to 3, and to 2.1e-10 for alpha from -0.1 to
-    -0.49 (4.7e-8 - 1.0e-7 at alpha <= -0.4 without the endpoint term).
+    -0.49 (4.7e-8 - 1.0e-7 at alpha <= -0.4 without the endpoint term);
+    ``fhat_lam`` holds to 6e-10 on the nine pairs and to 2.6e-10 for
+    alpha from -0.1 to -0.45; at (-0.49, -0.5) it reads 1.4e-9 at lambda =
+    1.6 + 0.007i, where |fhat| = 0.014, and 1.7e-7 without its endpoint
+    term.
+
+    The rows that do not depend on f (phi_lambda, b_lambda, Delta, the
+    grid and its weights) come from ``_grid_rows``, a one-entry store for
+    the last (params, lambda, tmax, n_grid): operators of several f at one
+    lambda, or the interior ``resolvent_transform`` right after an
+    operator at its lambda, evaluate no phi or Phi at construction.
     """
 
     atom0 = 0.0
@@ -222,32 +314,24 @@ class TLambdaOperator:
         self.params = params
         self.f = f
         self.lam = lam
-        self._b_pre = b_prefactor(params, lam)  # b_lambda = _b_pre Phi_lambda
-        s = np.linspace(0.0, 1.0, n_grid)
-        ts = f.tmax * s * s
-        delta = weight_delta(params, ts)
+        self._b_pre, s, ts, dt_ds, delta, phv, bv, w, edge = _grid_rows(params, lam, f.tmax, n_grid)
         fv = np.asarray(f(ts), dtype=complex)
-        phv = phi(params, lam, ts)
-        bv = self._b_pre * phi_second_kind(params, lam, ts[1:])
         g1 = fv * phv * delta
         g2 = fv * delta
         g2[1:] *= bv
         g2[0] = 0.0  # f b Delta -> 0 like t; b is singular at 0
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
         # normalization, same as the transform): I(t) = total - cum(0..t),
-        # with cum integrated in s (dt = 2 tmax s ds)
-        dt_ds = 2.0 * f.tmax * s
-        cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, x=s, initial=0)
-        cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, x=s, initial=0)
+        # with cum integrated in s (dt = 2 tmax s ds), both rows in one call
+        cum1, cum2 = 2.0 * cumulative_simpson(np.stack([g1, g2]) * dt_ds, x=s, initial=0)
         tail1, tail2 = cum1[-1] - cum1, cum2[-1] - cum2
         self._ts, self._tails = ts, (tail1, tail2)
-        self.fhat_lam = complex(cum1[-1])
+        # fhat(lambda) with the endpoint term on s^gamma for alpha < 0
+        fhat = cum1[-1]
+        if edge:
+            fhat -= edge * 2.0 * g1[1] * dt_ds[1]
+        self.fhat_lam = complex(fhat)
         # the measure (T_lambda f) Delta dt on the grid; s_0 = 0 carries no weight
-        w = _simpson_weights(n_grid)[1:]
-        if params.alpha < 0.0:  # endpoint term on s^gamma
-            gamma = 4.0 * params.alpha + 3.0
-            sg = s[1:] ** gamma
-            w[0] -= (np.dot(w, sg) - 1.0 / (gamma + 1.0)) / sg[0]
         self._t = ts[1:]
         self._w = 2.0 * w * dt_ds[1:] * delta[1:] * (bv * tail1[1:] - phv[1:] * tail2[1:])
 

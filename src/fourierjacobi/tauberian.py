@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import JacobiParams, _on_array, _phi_rows, strip_region, weight_delta
 from .errors import DomainError, PrecisionError
-from .quadrature import TAIL_CUTOFF, decay_cutoff, singular_halfline_nodes
+from .quadrature import TAIL_CUTOFF, _grid_cutoff, decay_cutoff, singular_halfline_nodes
 from .resolvent import TLambdaOperator, _finite_sum, _pair, _require_exterior, b_lambda
 
 _IRHO_RADIUS = 0.25  # zeros this close to +-i rho are the expected ones (mean-zero f, mass-1 mu)
@@ -157,22 +157,26 @@ def resolvent_transform(params: JacobiParams, g, f, lam):
     """Two-branch resolvent transform <h, g> with h chosen by Im lambda.
 
     Exterior (Im lambda > rho): h = b_lambda, pairing 2 int b g Delta up
-    to g's support bound tmax if any, with ``b_l1_norm``'s tail rule.
+    to g's support bound tmax if any, else to ``b_l1_norm``'s cutoff
+    (rounded up to the 0.5 grid of ``singular_halfline_nodes``, so
+    ``b_hat`` at the same lambda shares b_lambda Delta's rows through
+    ``resolvent._b_delta_rows``).
     Interior (0 < Im lambda < rho): h = T_lambda f / fhat(lambda), with
     T_lambda f and fhat(lambda) from a ``TLambdaOperator`` at its default
-    grid (1001 points graded as t = tmax s^2, Simpson tails); the pairing
-    is sum_k W_k g(t_k) / fhat(lambda) over the operator's own grid
-    measure (Simpson weights in s, with its endpoint term for alpha < 0),
-    so g is evaluated once per grid point.  Against a graded Gauss-Jacobi
-    reference for fhat, on f = gaussian_bump(4, 129, 0.6, center=1), g = 1
-    gives (1 - fhat(i rho)/fhat(lambda)) / -(lambda^2 + rho^2) to 3.7e-11 -
-    2.9e-8 relative on nine (alpha, beta) pairs with alpha from -0.25 to 3,
-    and to 6.3e-9 for alpha from -0.1 to -0.49 (there fhat(lambda)'s own
-    Simpson error sets it).
+    grid (1001 points graded as t = tmax s^2, Simpson tails), whose
+    f-independent rows come from the operator's one-entry store; the
+    pairing is sum_k W_k g(t_k) / fhat(lambda) over the operator's own
+    grid measure (Simpson weights in s, with its endpoint term for
+    alpha < 0), so g is evaluated once per grid point.  Against a graded
+    Gauss-Jacobi reference for fhat, on f = gaussian_bump(4, 129, 0.6,
+    center=1), g = 1 gives (1 - fhat(i rho)/fhat(lambda)) / -(lambda^2 +
+    rho^2) to 2.0e-10 - 2.9e-8 relative on nine (alpha, beta) pairs with
+    alpha from -0.25 to 3, and to 1.3e-9 for alpha from -0.1 to -0.49
+    (lambda in 0.4 + 0.3i rho, 1.6 + 0.7i rho, 0.3 + 0.5i rho).
     The pairing weight is Delta because bounded g is the dual of the
     weighted L^1 algebra.  The rail (``strip_region``'s "boundary") belongs
-    to neither branch and raises DomainError; an uncertified tail, an
-    overflow or |fhat(lambda)| <= 1e-10 raises PrecisionError.
+    to neither branch and raises DomainError; an uncertified tail, a
+    non-finite integrand or |fhat(lambda)| <= 1e-10 raises PrecisionError.
     """
     lam = complex(lam)
     if lam.imag <= 0:
@@ -186,8 +190,8 @@ def resolvent_transform(params: JacobiParams, g, f, lam):
     if region == "exterior":
         # a support that ends below the cap ends the integral before it
         g_tmax, cap = getattr(g, "tmax", np.inf), TAIL_CUTOFF * 8
-        cutoff = min(decay_cutoff(lam.imag - params.rho, hi=None if g_tmax <= cap else cap), g_tmax)
-        return complex(_pair(params, lambda t: b_lambda(params, lam, t), g, cutoff))
+        decay = decay_cutoff(lam.imag - params.rho, hi=None if g_tmax <= cap else cap)
+        return complex(_pair(params, lam, g, min(_grid_cutoff(decay), g_tmax)))
     if f is None:
         raise DomainError(
             "resolvent_transform: interior branch needs the generator f"

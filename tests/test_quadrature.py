@@ -7,6 +7,7 @@ import pytest
 
 from fourierjacobi.errors import PrecisionError
 from fourierjacobi.quadrature import (
+    _grid_cutoff,
     composite_gauss,
     composite_gauss_nodes,
     decay_cutoff,
@@ -51,6 +52,27 @@ def test_singular_nodes_log_singularity():
     nodes, weights = singular_halfline_nodes(1.0)
     got = np.sum(weights * np.log(1.0 / nodes))
     assert got == pytest.approx(1.0, rel=1e-9)
+
+
+def test_singular_nodes_nest_on_the_half_grid():
+    # past the graded head the segments are [0.5, 1], [1, 1.5], ..., so a
+    # shorter cutoff on that grid gives a prefix of a longer one's nodes
+    for c1, c2 in [(0.5, 1.0), (1.0, 3.5), (3.0, 140.5), (17.5, 18.0)]:
+        n1, w1 = singular_halfline_nodes(c1)
+        n2, w2 = singular_halfline_nodes(c2)
+        assert n1.size < n2.size
+        assert np.array_equal(n1, n2[:n1.size]) and np.array_equal(w1, w2[:n1.size])
+    assert _grid_cutoff(3.01) == 3.5 and _grid_cutoff(3.5) == 3.5
+
+
+@pytest.mark.parametrize("bound", [0.3, 0.75, 3.7, 4.0000001, 12.2])
+def test_singular_nodes_end_at_a_support_bound(bound):
+    # a cutoff off the grid ends the last segment there, never past it
+    nodes, weights = singular_halfline_nodes(bound)
+    assert nodes[-1] < bound
+    assert np.sum(weights) == pytest.approx(bound, abs=1e-12)
+    head = singular_halfline_nodes(_grid_cutoff(bound) - 0.5)[0] if bound > 0.5 else nodes[:0]
+    assert np.array_equal(nodes[:head.size], head)
 
 
 def test_decay_cutoff_scales_with_rate():

@@ -27,6 +27,7 @@ from fourierjacobi import (
 )
 from fourierjacobi import resolvent
 from fourierjacobi.core import _phi_rows
+from fourierjacobi.quadrature import _grid_cutoff, decay_cutoff, singular_halfline_nodes
 
 
 class TestBLambda:
@@ -73,6 +74,17 @@ class TestBHat:
             got = b_hat(standard_params, lam, xi)
             assert got == pytest.approx(b_hat_exact(lam, xi), rel=1e-8)
 
+    @pytest.mark.parametrize("ab", [(2.3, 0.7), (1.0, 0.0), (1.2, 1.2), (3.0, -0.5), (0.5, -0.5),
+                                    (-0.25, -0.5), (0.0, 0.0), (1.5, -0.5), (2.0, 1.0)])
+    def test_closed_form_to_1e_10(self, ab):
+        # on the 0.5-grid cutoff, with b_lambda Delta formed in log space,
+        # every regime reads within 6e-11
+        p = JacobiParams(*ab)
+        lam = 0.5 + 1j * (p.rho + 1.0)
+        xis = np.array([0.4, 1.0 + 0.2j])
+        want = 1.0 / (xis**2 - lam**2)
+        assert np.max(np.abs(b_hat(p, lam, xis) - want) / np.abs(want)) <= 1e-10
+
     def test_array_xi_matches_scalar_calls(self, monkeypatch):
         # the xi that share |Im xi| share one cutoff, hence one pairing
         p = JacobiParams(2.3, 0.7)
@@ -101,11 +113,19 @@ class TestBHat:
         with pytest.raises(DomainError):
             b_l1_norm(standard_params, 0.5j * standard_params.rho)
 
-    def test_overflowing_integrand_raises(self):
-        # rho = 4: Delta overflows near t = 89, short of the cutoff 140,
-        # where b_lambda has underflowed; inf * 0 must not become the norm
+    def test_pairings_finite_where_delta_overflows(self):
+        # rho = 4: Delta overflows near t = 89, short of the cutoff 140.5,
+        # where b_lambda has underflowed; b_lambda Delta is formed in log
+        # space, so both exterior pairings stay finite there
+        p, lam = JacobiParams(2.3, 0.7), 1.0 + 4.2j
+        want = -1.0 / (lam * lam + p.rho**2)
+        got = resolvent_transform(p, lambda t: np.ones_like(t), None, lam)
+        assert abs(got - want) <= 1e-10 * abs(want)
+        norm = b_l1_norm(p, lam)
+        assert np.isfinite(norm) and norm >= abs(want)
+        # a g that is not finite somewhere still must not enter the sum
         with pytest.raises(PrecisionError):
-            b_l1_norm(JacobiParams(2.3, 0.7), 1.0 + 4.2j)
+            resolvent_transform(p, lambda t: np.where(t > 80.0, np.inf, 1.0), None, lam)
 
     def test_capped_tail_raises(self):
         # rate Im lam - |Im xi| = 0.011 needs t ~ 2,500; the cap at 240
@@ -212,15 +232,17 @@ class TestTLambda:
             want = np.sum(base * phi(p, lam, t))
             assert TLambdaOperator(p, f, lam).fhat_lam == pytest.approx(want, rel=1e-8)
 
-    @pytest.mark.parametrize("ab", [(-0.4, -0.5), (-0.45, -0.45), (-0.1, -0.5), (2.3, 0.7)])
+    @pytest.mark.parametrize("ab", [(-0.4, -0.5), (-0.45, -0.45), (-0.1, -0.5), (2.3, 0.7),
+                                    (-0.49, -0.5)])
     def test_hat_identity_against_graded_gauss(self, ab):
         # the reference fhat takes order-12 Gauss on each knot interval of
         # f, Gauss-Jacobi with weight t^(2 alpha + 1) on the first, so the
         # identity is read against fhat, not against the grid's own Simpson
         # sums; for alpha < 0 the grid pairing needs its endpoint term (without
-        # it alpha = -0.4 and -0.45 read 4.7e-8 and 1.0e-7); at (2.3, 0.7) the
-        # grid's own Simpson error in fhat(lambda), 7e-10, puts the identity
-        # near 1.3e-9
+        # it alpha = -0.4 and -0.45 read 4.7e-8 and 1.0e-7), and so does
+        # fhat_lam (2.3e-9 to 6.2e-9 without it); at (2.3, 0.7) the grid's
+        # own Simpson error in fhat(lambda), 7e-10, puts the identity near
+        # 1.3e-9
         p = JacobiParams(*ab)
         f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
         dt, a = f.dt, 2.0 * p.alpha + 1.0
@@ -235,9 +257,12 @@ class TestTLambda:
         xis = np.array([0.0, 0.9, 2.2, 1.3 + 0.4j * p.rho])
         fhat = np.sum(base * _phi_rows(p, np.concatenate([[lam], xis]), t), axis=-1)
         want = (fhat[0] - fhat[1:]) / (xis**2 - lam**2)
-        got = t_lambda_hat(p, TLambdaOperator(p, f, lam), lam, xis)
+        op = TLambdaOperator(p, f, lam)
+        got = t_lambda_hat(p, op, lam, xis)
         bound = 2e-9 if p.alpha > 0 else 1e-9
         assert np.max(np.abs(got - want) / np.abs(want)) <= bound
+        if p.alpha < 0:
+            assert abs(op.fhat_lam - fhat[0]) <= 2e-10 * abs(fhat[0])
 
     @pytest.mark.parametrize("n_grid", [1001, 1000])
     def test_grid_weights_are_the_tail_rule(self, n_grid):
@@ -302,3 +327,71 @@ class TestTLambda:
         for lam in (1.0, 1.0 + 1j * (p.rho + 0.1)):
             with pytest.raises(DomainError):
                 TLambdaOperator(p, f, lam)
+
+
+def _count_points(monkeypatch, module, names, where):
+    # the number of points each call of a module.name is handed (argument where)
+    seen = []
+    for name in names:
+        def counted(*args, _orig=getattr(module, name), **kwargs):
+            seen.append(np.size(args[where]))
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return seen
+
+
+class TestRowStores:
+    """The one-entry stores of lambda-only rows serve every consumer at one lambda."""
+
+    P = JacobiParams(1.0, 0.0)
+    LAM = 0.6 + 0.4j
+    LAM_EXT = 0.7 + 1j * (P.rho + 0.8)
+
+    def test_second_operator_evaluates_no_phi(self, monkeypatch):
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        resolvent._grid_rows.cache_clear()
+        TLambdaOperator(self.P, f, self.LAM)
+        calls = _count_points(monkeypatch, resolvent, ["phi", "phi_second_kind"], 2)
+        op = TLambdaOperator(self.P, f, self.LAM)
+        resolvent_transform(self.P, np.cos, f, self.LAM)
+        assert calls == []
+        op(np.array([0.5, 1.5]))  # the tail splines evaluate phi and Phi at t
+        assert len(calls) == 2
+
+    def test_operators_of_two_f_match_cold_builds(self):
+        fs = [gaussian_bump(4.0, 129, width=0.6, center=1.0), gaussian_bump(4.0, 65, width=0.9)]
+        tq = np.linspace(0.05, 3.8, 11)
+        warm = [TLambdaOperator(self.P, f, self.LAM) for f in fs]
+        for f, op in zip(fs, warm):
+            resolvent._grid_rows.cache_clear()
+            cold = TLambdaOperator(self.P, f, self.LAM)
+            assert op.fhat_lam == cold.fhat_lam
+            for a, b in zip(op._points(), cold._points()):
+                assert np.array_equal(a, b)
+            assert np.array_equal(op(tq), cold(tq))
+
+    @pytest.mark.parametrize("b_hat_first", [True, False])
+    def test_pairings_at_one_lambda_evaluate_b_once(self, monkeypatch, b_hat_first):
+        p, lam, xi = self.P, self.LAM_EXT, 1.3
+        calls = [lambda: b_hat(p, lam, xi), lambda: resolvent_transform(p, np.cos, None, lam)]
+        want = []
+        for call in calls:
+            resolvent._b_rows.clear()
+            want.append(call())
+        resolvent._b_rows.clear()
+        seen = _count_points(monkeypatch, resolvent, ["_second_kind_2f1"], 2)
+        got = [call() for call in (calls if b_hat_first else calls[::-1])]
+        longer = _grid_cutoff(decay_cutoff(lam.imag - p.rho))
+        assert sum(seen) == singular_halfline_nodes(longer)[0].size
+        assert got == (want if b_hat_first else want[::-1])
+
+    def test_stored_rows_are_read_only(self):
+        f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
+        TLambdaOperator(self.P, f, self.LAM)
+        b_l1_norm(self.P, self.LAM_EXT)
+        rows = resolvent._grid_rows(self.P, self.LAM, f.tmax, 1001)
+        (nodes, b_rows), = resolvent._b_rows.values()
+        for row in [r for r in rows if isinstance(r, np.ndarray)] + [nodes, b_rows]:
+            with pytest.raises(ValueError):
+                row[0] = 0.0

@@ -254,6 +254,21 @@ class TestResolventGlue:
         )
         assert got == pytest.approx(want, rel=1e-6)
 
+    def test_support_bound_caps_the_grid_cutoff(self, glue_setup):
+        # the decay cutoff (about 19 here) is rounded up to the 0.5 grid,
+        # but a support bound off that grid still ends the last segment
+        p, _ = glue_setup
+        bounded = gaussian_bump(3.7, 257, width=0.6, center=1.0)
+        reads = []
+
+        def g(t):
+            reads.append(np.max(t))
+            return bounded(t)
+
+        g.tmax = bounded.tmax
+        resolvent_transform(p, g, None, 1j * (p.rho + 1.5))
+        assert 3.5 < reads[0] < 3.7
+
     def test_exterior_reflection_symmetry(self, rank_one):
         # -1/(lam^2 + rho^2) conjugates when Re lam flips sign
         p = rank_one
