@@ -100,13 +100,17 @@ def phi(params: JacobiParams, lam, t, tol=1e-12):
     return complex(out[0]) if lam.ndim == t.ndim == 0 else out
 
 
-def _phi_rows(params: JacobiParams, lam, t, kind=phi):
+def _phi_rows(params: JacobiParams, lam, t, kind=None):
     """kind at every (lambda, t) of a lambda array and a 1-d t: shape lam.shape + t.shape.
 
-    kind is ``phi``, ``phi_second_kind`` or ``b_lambda``.  Rows of lambda go
-    to it as equal-length 1-d arrays, in chunks of whole rows of at most
-    ``_BATCH_POINTS`` points (one row at least); a scalar lambda is one call.
+    kind is ``phi_second_kind``, ``b_lambda`` or, by default, ``phi``, read
+    from the module when called, so that a replaced ``core.phi`` sees every
+    point.  Rows of lambda go to it as equal-length 1-d arrays, in chunks
+    of whole rows of at most ``_BATCH_POINTS`` points (one row at least); a
+    scalar lambda is one call.
     """
+    if kind is None:
+        kind = phi
     lam = np.asarray(lam, dtype=complex)
     t = np.asarray(t, dtype=float)
     if lam.ndim == 0:

@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
+from ._numerics import spline_coefficients
 from .core import weight_delta
 from .errors import DomainError
 from .quadrature import composite_gauss_nodes
@@ -18,12 +18,12 @@ from .quadrature import composite_gauss_nodes
 class GridFunction:
     """An even function represented by uniform samples on [0, tmax].
 
-    Evaluated by the cubic spline through the samples (scipy's CubicSpline,
-    not-a-knot), fitted once per real plane: the real part always, the
-    imaginary part only when some sample has one.  So real samples give
-    float64 arrays and complex samples complex128 arrays; a scalar t gives
-    a Python complex either way.  Evaluation at t < 0 uses |t|; evaluation
-    beyond tmax is a DomainError.
+    Evaluated by the not-a-knot cubic spline through the samples
+    (``_numerics.spline_coefficients``), fitted once per real plane: the
+    real part always, the imaginary part only when some sample has one.
+    So real samples give float64 arrays and complex samples complex128
+    arrays; a scalar t gives a Python complex either way.  Evaluation at
+    t < 0 uses |t|; evaluation beyond tmax is a DomainError.
     """
 
     tmax: float
@@ -54,7 +54,7 @@ class GridFunction:
     def __call__(self, t):
         """Interpolate at t (scalar or array); a scalar gives a Python complex.
 
-        Each plane's CubicSpline pieces are evaluated directly on the uniform
+        Each plane's spline pieces are evaluated directly on the uniform
         grid: piece k = floor(t / dt), capped at n - 2, by real Horner in
         u = t - k dt.  NaN gives NaN; a complex t is a DomainError.
         """
@@ -68,25 +68,26 @@ class GridFunction:
             raise DomainError(
                 f"GridFunction: evaluation at t={float(np.max(t))} beyond tmax={self.tmax}"
             )
-        t = np.minimum(t, self.tmax)
+        np.minimum(t, self.tmax, out=t)
         if self._coef is None:
             # per plane, piecewise coefficients highest degree first: c0 u^3 + ... + c3
             fitted = [self.values.real] + ([self.values.imag] if self.values.imag.any() else [])
-            self._coef = [[np.ascontiguousarray(c) for c in CubicSpline(self.ts, y).c]
-                          for y in fitted]
+            self._coef = [list(spline_coefficients(self.ts, y)) for y in fitted]
         dt = self.dt
-        # fmin sends NaN to the last piece, where u and so the value stay NaN
-        k = np.fmin(t / dt, self.n - 2).astype(np.intp)
-        u = t - k * dt
+        # fmin sends NaN to the last piece, where u and so the value stay NaN;
+        # t turns into u in place, and q holds each gathered coefficient row
+        q = np.divide(t, dt)
+        k = np.fmin(q, self.n - 2, out=q).astype(np.intp)
+        t -= np.multiply(k, dt, out=q)
         out = np.empty(t.size, dtype=float if len(self._coef) == 1 else complex)
         # one real row per plane, in place: out itself, or its real and imaginary parts
         planes = out.view(float).reshape(t.size, len(self._coef)).T
         for (c0, c1, c2, c3), plane in zip(self._coef, planes):
-            np.multiply(c0[k], u, out=plane)
+            np.multiply(np.take(c0, k, out=q, mode="clip"), t, out=plane)
             for c in (c1, c2):
-                plane += c[k]
-                plane *= u
-            plane += c3[k]
+                plane += np.take(c, k, out=q, mode="clip")
+                plane *= t
+            plane += np.take(c3, k, out=q, mode="clip")
         return out.reshape(shape) if shape else complex(out[0])
 
     # --- CSV format: header "t,re,im", uniform increasing t from 0 ---

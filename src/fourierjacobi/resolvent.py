@@ -11,9 +11,8 @@ from __future__ import annotations
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
 
+from ._numerics import CubicSpline, cumulative_simpson
 from .core import (JacobiParams, _phi_rows, _second_kind_2f1, _second_kind_points, c_function,
                    in_strip, phi, phi_second_kind, strip_region, weight_delta)
 from .errors import DomainError, PrecisionError
@@ -212,10 +211,10 @@ def wronskian_exact(params: JacobiParams, lam):
 
 
 def _simpson_weights(n):
-    """w with sum_k w_k y_k = cumulative_simpson(y, x=linspace(0, 1, n))[-1], to rounding.
+    """w with sum_k w_k y_k = _numerics.cumulative_simpson(y, 1/(n-1))[-1], to rounding.
 
     Simpson's 1/3 rule on the panels [s_0, s_2], [s_2, s_4], ...; for even n
-    the last interval takes the three-point formula cumulative_simpson uses
+    the last interval takes the three-point formula the cumulative rule uses
     there, h/12 (-y_{n-3} + 8 y_{n-2} + 5 y_{n-1}).
     """
     m = n - 1  # intervals
@@ -270,8 +269,10 @@ class TLambdaOperator:
     for t > 0 (tails in the full-line normalization 2 int_t^oo); f is
     compactly supported on [0, tmax], so T_lambda f vanishes beyond tmax.
     The tails are integrated cumulatively on the graded grid t = tmax s^2,
-    n_grid uniform s in [0, 1] (1001 by default), by Simpson's rule in s;
-    ``__call__`` splines them in t, the splines built on its first call.
+    n_grid uniform s in [0, 1] (1001 by default), by Simpson's rule in s
+    (``_numerics.cumulative_simpson``); ``__call__`` interpolates them in t
+    by the not-a-knot splines of ``_numerics.CubicSpline`` on that
+    non-uniform grid, built on its first call.
     The substitution turns t^(2 alpha + 1) dt into a smooth multiple of
     s^(4 alpha + 3) ds, so Simpson keeps its order at t = 0 for alpha >= 0.
 
@@ -323,7 +324,7 @@ class TLambdaOperator:
         # right tail integrals int_{|s|>t} = 2 int_t^oo (full-line
         # normalization, same as the transform): I(t) = total - cum(0..t),
         # with cum integrated in s (dt = 2 tmax s ds), both rows in one call
-        cum1, cum2 = 2.0 * cumulative_simpson(np.stack([g1, g2]) * dt_ds, x=s, initial=0)
+        cum1, cum2 = 2.0 * cumulative_simpson(np.stack([g1, g2]) * dt_ds, s[1])
         tail1, tail2 = cum1[-1] - cum1, cum2[-1] - cum2
         self._ts, self._tails = ts, (tail1, tail2)
         # fhat(lambda) with the endpoint term on s^gamma for alpha < 0

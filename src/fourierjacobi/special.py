@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import loggamma
-from scipy.special import psi as digamma
 
+from ._numerics import digamma, loggamma
 from .errors import DomainError, PrecisionError
 
 MAX_TERMS = 100_000
@@ -41,9 +40,10 @@ def _near_integer(z):
 def log_gamma(z):
     """Principal-branch log Gamma, elementwise over an array z.
 
-    scipy's ``loggamma`` (Hare, J. Algorithms 25, 1997) chooses each
-    point's expansion; its imaginary part is the continuous branch, so
-    exp(log_gamma(z)) is always Gamma(z).  A pole anywhere raises.
+    Lanczos' form on Re z >= 0 and the reflection formula below it
+    (``_numerics.loggamma``); its imaginary part is the continuous branch
+    (Hare, J. Algorithms 25, 1997), so exp(log_gamma(z)) is always
+    Gamma(z).  A pole anywhere raises.
     """
     z = np.asarray(z, dtype=complex)
     pole = is_nonpositive_integer(z)
@@ -101,8 +101,9 @@ def _series_2f1(a, b, c, z, tol, log=False):
     the term ratio is formed once per run of points that share their
     parameters (``_runs``) and read per column.  With ``log``, term n is
     weighted by log z - psi_n, psi_n = psi(n+1) + psi(n+c) - psi(a+n) -
-    psi(b+n) formed per run, psi(n+c) on Re c (c is real there): the
-    logarithmic series of DLMF 15.8.10.
+    psi(b+n), psi(n+c) on Re c (c is real there): the logarithmic series of
+    DLMF 15.8.10.  psi_0 is formed once per run, and each block advances it
+    by psi(x+1) = psi(x) + 1/x (DLMF 5.5.2) in one cumulative sum.
 
     Returns the sums and, per point, the cancellation estimate
     eps * max|term| / |sum|: the relative error that rounding in the largest
@@ -117,11 +118,10 @@ def _series_2f1(a, b, c, z, tol, log=False):
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     (a, b, c), run = _runs(a, b, c)
-
-    def psi(k):
-        # k a column of term indices: one row per index, one column per point
-        psi_k = digamma(k + 1.0) + digamma(k + c.real) - digamma(a + k) - digamma(b + k)
-        return _spread(psi_k, run)
+    if log:
+        # psi_n per run, n the first index of the block
+        first = digamma(np.stack(np.broadcast_arrays(1.0, c.real, a, b)))
+        psi_n = first[0] + first[1] - first[2] - first[3]
 
     total = np.empty_like(z)
     peak = np.empty(z.shape)
@@ -129,7 +129,7 @@ def _series_2f1(a, b, c, z, tol, log=False):
     zl = z.ravel()
     az = np.abs(zl)
     term = np.ones_like(zl)
-    acc = np.log(zl) - psi(np.zeros((1, 1)))[0] if log else np.ones_like(zl)
+    acc = np.log(zl) - _spread(psi_n, run) if log else np.ones_like(zl)
     top = np.abs(acc)
     n = 0
     while live.size:
@@ -151,7 +151,12 @@ def _series_2f1(a, b, c, z, tol, log=False):
         terms *= term
         term = terms[-1].copy()
         if log:
-            terms *= np.log(zl) - psi(k[:-1] + 1.0)
+            # psi_(n+1) .. psi_(n+_BLOCK): one row per index, one column per run
+            j = k[:-1]
+            steps = 1.0 / (j + 1.0) + 1.0 / (j + c.real) - 1.0 / (a + j) - 1.0 / (b + j)
+            psi_k = psi_n + np.cumsum(steps, axis=0)
+            psi_n = psi_k[-1]
+            terms *= np.log(zl) - _spread(psi_k, run)
         # numpy sums a lone column pairwise but several row by row; cumsum
         # is row by row for one column too
         acc = acc + (terms.sum(axis=0) if zl.size > 1 else terms.cumsum(axis=0)[-1])

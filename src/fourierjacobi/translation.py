@@ -15,8 +15,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
+from ._numerics import roots_jacobi
 from .core import JacobiParams
 from .errors import DomainError
 from .grid import EvenMeasure, GridFunction
@@ -93,7 +93,11 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     The kernel arguments of all (s, t) pairs are passed to f in chunks of
     whole pairs, at most _CHUNK arguments each (or one pair, if that is
     larger), so f is called once per chunk and the temporaries stay small.
-    Each pair's kernel values are reduced on their own by one pairwise sum,
+    The arguments and the weighted values live in buffers allocated once
+    per call and reused by every chunk: a call allocates a fixed number of
+    large arrays, whatever its number of chunks, so its speed does not hang
+    on whether the heap is trimmed and grown again between chunks.  Each
+    pair's kernel values are reduced on their own by one pairwise sum,
     so pairs that see identical values give identical results (a constant f
     is an exact fixed point).  The values keep the dtype f gives them, so a
     real f is translated in real arithmetic and gives a real matrix.
@@ -106,17 +110,23 @@ def _translate_batch(params, f, s_array, t_array, n_r=32, n_psi=32):
     b = np.outer(np.sinh(s), np.sinh(t)).ravel()
     sums = []
     step = max(1, _CHUNK // w.size)
+    buf = np.empty((2, min(step, a.size), w.size))
+    prod = None
     for lo in range(0, a.size, step):
         ak = a[lo:lo + step, None]
         bk = b[lo:lo + step, None]
-        # arccosh |a + r e^{i psi} b|, in place: the chunk's temporaries
-        # set the peak memory of a convolution
-        x = ak + rc * bk
+        x, sq = buf[:, :ak.shape[0]]
+        # arccosh |a + r e^{i psi} b|, in place
+        np.multiply(rc, bk, out=x)
+        x += ak
         x *= x
-        x += np.square(rs * bk)
+        x += np.square(np.multiply(rs, bk, out=sq), out=sq)
         args = np.arccosh(np.maximum(np.sqrt(x, out=x), 1.0, out=x), out=x)
         vals = np.asarray(f(args.ravel())).reshape(args.shape)
-        sums.append(np.sum(vals * w, axis=-1))
+        if prod is None or prod.dtype != np.result_type(vals, w):
+            prod = np.empty(buf.shape[1:], dtype=np.result_type(vals, w))
+        part = np.multiply(vals, w, out=prod[:x.shape[0]])
+        sums.append(np.sum(part, axis=-1))
     return np.concatenate(sums).reshape(s.size, t.size)
 
 

@@ -9,9 +9,9 @@ complex arithmetic throughout (the library keeps a real function real).
 import cmath
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.special import roots_jacobi
 
+from fourierjacobi._numerics import spline_coefficients
 from fourierjacobi.errors import DomainError, PrecisionError
 from fourierjacobi.special import gauss_2f1_array, log_gamma
 from fourierjacobi.translation import _kernel_nodes
@@ -81,14 +81,14 @@ def phi_dx_at_rho_closed_form(params, t, n_nodes=80, tol=1e-12):
 
 
 def complex_spline_coefficients(f):
-    """The not-a-knot spline of a GridFunction's samples, fitted per real plane.
+    """The library's not-a-knot spline of a GridFunction's samples, fitted per real plane.
 
     Returned as complex (4, n - 1) piecewise coefficients, highest degree
     first, so ``complex_horner`` evaluates both planes in one complex pass.
     """
     coef = np.empty((4, f.n - 1), dtype=complex)
-    coef.real = CubicSpline(f.ts, f.values.real).c
-    coef.imag = CubicSpline(f.ts, f.values.imag).c
+    coef.real = spline_coefficients(f.ts, f.values.real)
+    coef.imag = spline_coefficients(f.ts, f.values.imag)
     return coef
 
 

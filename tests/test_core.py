@@ -8,15 +8,18 @@ import pytest
 
 from fourierjacobi import (
     DomainError,
+    EvenMeasure,
     JacobiParams,
     c_function,
+    forward_transform,
+    gaussian_bump,
     phi,
     phi_dx_at_rho,
     phi_second_kind,
     strip_region,
     weight_delta,
 )
-from fourierjacobi import special
+from fourierjacobi import core, special
 from fourierjacobi.core import (
     _phi_rows,
     apply_L,
@@ -24,6 +27,7 @@ from fourierjacobi.core import (
     heckman_opdam_g,
     phi_second_kind_sinh_form,
 )
+from fourierjacobi.quadrature import _segment_count
 from oracles import phi_dx_at_rho_closed_form
 
 def high_band_grid(seed=20170401, n_lam=5, n_t=8):
@@ -91,6 +95,24 @@ class TestPhi:
             for t in (0.25, 1.0, 2.5, 6.0):
                 want = np.sin(lam * t) / (lam * np.sinh(t))
                 assert complex(phi(p, lam, t)) == pytest.approx(want, abs=1e-11)
+
+    def test_rows_read_phi_when_called(self, monkeypatch):
+        # a wrapper put on core.phi after import sees every point the
+        # transforms' rows hand to phi, and the rows are unchanged
+        p = JacobiParams(2.3, 0.7)
+        f = gaussian_bump(3.0, 65, width=0.5)
+        lams = np.array([0.0, 1.3, 2.2 + 0.4j])
+        want = forward_transform(p, f, lams)
+        seen = []
+
+        def counted(params, lam, t, tol=1e-12):
+            seen.append(np.broadcast(lam, t).size)
+            return phi(params, lam, t, tol)
+
+        monkeypatch.setattr(core, "phi", counted)
+        assert np.array_equal(forward_transform(p, f, lams), want)
+        mu = EvenMeasure(density=f, density_measure="delta-weighted")
+        assert sum(seen) == lams.size * mu._points(p, _segment_count(f.tmax))[0].size
 
     def test_even_in_lambda(self, standard_params):
         lam = 1.1 + 0.4j

@@ -74,7 +74,7 @@ class TestGridFunction:
         want = complex_horner(f, complex_spline_coefficients(f), t)
         assert np.array_equal(np.real(got), want.real)
         assert np.array_equal(np.imag(got), want.imag)
-        # the complex-arithmetic fit differs from the per-plane one by rounding
+        # scipy's complex-arithmetic fit differs from the per-plane one by rounding
         spline = CubicSpline(f.ts, f.values)
         assert np.max(np.abs(got - spline(np.abs(t)))) <= 1e-15 * np.max(np.abs(f.values))
 

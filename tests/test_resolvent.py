@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
-from scipy.integrate import cumulative_simpson
-from scipy.interpolate import CubicSpline
+import scipy.integrate
+import scipy.interpolate
 from scipy.special import roots_jacobi
 
 from fourierjacobi import (
@@ -26,6 +26,7 @@ from fourierjacobi import (
     wronskian_exact,
 )
 from fourierjacobi import resolvent
+from fourierjacobi._numerics import CubicSpline, cumulative_simpson
 from fourierjacobi.core import _phi_rows
 from fourierjacobi.quadrature import _grid_cutoff, decay_cutoff, singular_halfline_nodes
 
@@ -269,7 +270,8 @@ class TestTLambda:
         # the Simpson weights in s that build the measure (T_lambda f) Delta dt
         # give fhat(lambda) as the cumulative rule does, for odd and even
         # n_grid; the lazily built tail splines leave op(t) bit-identical to
-        # the eager tail-integral formula, and the pairing builds no spline
+        # the eager tail-integral formula, and the pairing builds no spline;
+        # scipy's rule and spline agree with the library's to rounding
         p = JacobiParams(2.3, 0.7)
         f = gaussian_bump(4.0, 129, width=0.6, center=1.0)
         lam = 0.7 + 0.4j * p.rho
@@ -286,13 +288,19 @@ class TestTLambda:
         g2 = fv * delta
         g2[1:] *= b_lambda(p, lam, ts[1:])
         g2[0] = 0.0
-        cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, x=s, initial=0)
-        cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, x=s, initial=0)
+        cum1 = 2.0 * cumulative_simpson(g1 * dt_ds, s[1])
+        cum2 = 2.0 * cumulative_simpson(g2 * dt_ds, s[1])
         assert op.fhat_lam == complex(cum1[-1])
         tq = np.linspace(0.03, f.tmax - 0.2, 23)
         want = (b_lambda(p, lam, tq) * CubicSpline(ts, cum1[-1] - cum1)(tq)
                 - phi(p, lam, tq) * CubicSpline(ts, cum2[-1] - cum2)(tq))
         assert np.array_equal(op(tq), want)
+        for g, cum in ((g1, cum1), (g2, cum2)):
+            ref = 2.0 * scipy.integrate.cumulative_simpson(g * dt_ds, x=s, initial=0)
+            assert np.max(np.abs(cum - ref)) <= 4e-15 * np.max(np.abs(ref))
+            tail = cum[-1] - cum
+            spline = scipy.interpolate.CubicSpline(ts, tail)
+            assert np.max(np.abs(CubicSpline(ts, tail)(tq) - spline(tq))) <= 1e-15 * np.max(np.abs(tail))
 
     def test_array_xi_matches_scalar_calls(self, setup):
         p, _, lam, op = setup
